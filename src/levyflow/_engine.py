@@ -1,11 +1,17 @@
 """Internal vectorized Monte Carlo engine.
 
 Batches of exponential states evolve by right-multiplying one factor per time
-step, F = expm(dt * gamma^0) @ (I + dB) — exact on drift-only specifications —
-followed by the exact jump factors (I + a) for the Poisson number of jumps in
-the cell.  States are renormalized every step (Euclidean norm for vectors,
-Frobenius for matrices) with the log-scale accumulated separately, so
-long-horizon norm statistics are exact at snapshot times and never overflow.
+step, F = D @ (I + dB) with D = expm(dt * gamma^0) — exact on drift-only
+specifications — followed by the exact jump factors (I + a) for the Poisson
+number of jumps in the cell.  D is folded into the Gaussian factor G of vec(dB)
+once: vec(D @ B) = (I kron D) vec(B), so G' = Pi (I kron D) G, with Pi taking
+column-stacked to row-major order, gives F = D + (z @ G'.T).reshape(n, d, d)
+for standard normals z.  A product of (p, m, d) row vectors with per-path
+factors uses einsum for one row (m = 1) and stacked matmul for several, the
+faster of the two at each shape.  States are renormalized every step
+(Euclidean norm for vectors, Frobenius for matrices) with the log-scale
+accumulated separately, so long-horizon norm statistics are exact at snapshot
+times and never overflow.
 
 A single batched RNG stream with a fixed per-step draw order (Gaussians, then
 jump counts, then atom choices) drives each run: results are deterministic
@@ -28,7 +34,10 @@ class _StepScheme:
         self.dt = float(dt)
         self.drift_factor = expm(self.dt * triplet.drift())
         if triplet.has_gaussian_part():
-            self.gauss = psd_factor(triplet.sigma) * np.sqrt(self.dt)
+            # row j*d+k of G is entry (k, j) of dB; row m*d+j of G' is (D @ dB)[m, j]
+            g = np.einsum("mk,jkl->mjl", self.drift_factor,
+                          psd_factor(triplet.sigma).reshape(self.d, self.d, -1))
+            self.gauss = g.reshape(self.d ** 2, -1) * np.sqrt(self.dt)
         else:
             self.gauss = None
         j = triplet.jumps
@@ -42,14 +51,12 @@ class _StepScheme:
             self.jump_rate = 0.0
 
     def cont_factors(self, rng, n: int):
-        """(n, d, d) per-path factors, or None when the drift factor alone
-        applies to the whole batch (no Gaussian part)."""
+        """(n, d, d) per-path factors D @ (I + dB), or the (d, d) drift factor
+        D shared by the whole batch when there is no Gaussian part."""
         if self.gauss is None:
-            return None
+            return self.drift_factor
         z = rng.standard_normal((n, self.d * self.d))
-        # vec is column-stacked: flat index j*d+m <-> entry (m, j)
-        b = (z @ self.gauss.T).reshape(n, self.d, self.d).transpose(0, 2, 1)
-        return self.drift_factor + self.drift_factor @ b
+        return self.drift_factor + (z @ self.gauss.T).reshape(n, self.d, self.d)
 
     def jump_plan(self, rng, n: int):
         """[(path indices, atom indices)] rounds covering all jumps this step."""
@@ -68,6 +75,13 @@ class _StepScheme:
             plan.append((act, choice))
             counts[act] -= 1
         return plan
+
+
+def _rowvec_product(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """v @ f per path for (p, m, d) rows and (p, d, d) or shared (d, d) factors."""
+    if v.shape[1] == 1 and f.ndim == 3:
+        return np.einsum("pmi,pij->pmj", v, f)
+    return v @ f
 
 
 def _snapshot_indices(snapshot_times, n_steps: int, dt: float, T: float):
@@ -107,10 +121,10 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     scheme = _StepScheme(triplet, dt_eff)
     rng = np.random.default_rng(seed)
 
-    v = starts.astype(float).copy()
-    norms = np.linalg.norm(v, axis=2, keepdims=True)
-    logs = np.log(norms[..., 0])
-    v = v / norms
+    v = starts.astype(float)
+    norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
+    logs = np.log(norms)
+    v /= norms[..., None]
 
     out_dirs = np.empty((len(snap), n_paths, m, d))
     out_logs = np.empty((len(snap), n_paths, m))
@@ -122,16 +136,12 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
 
     record(0)
     for step in range(1, n_steps + 1):
-        f = scheme.cont_factors(rng, n_paths)
-        if f is None:
-            v = v @ scheme.drift_factor
-        else:
-            v = np.einsum("pmi,pij->pmj", v, f)
+        v = _rowvec_product(v, scheme.cont_factors(rng, n_paths))
         for act, choice in scheme.jump_plan(rng, n_paths):
-            v[act] = np.einsum("pmi,pij->pmj", v[act], scheme.jump_factors[choice])
-        norms = np.linalg.norm(v, axis=2, keepdims=True)
-        logs = logs + np.log(norms[..., 0])
-        v = v / norms
+            v[act] = _rowvec_product(v[act], scheme.jump_factors[choice])
+        norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
+        logs = logs + np.log(norms)
+        v /= norms[..., None]
         record(step)
     times = np.array([k * dt_eff for k in snap])
     return times, out_dirs, out_logs
@@ -164,13 +174,9 @@ def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
 
     record(0)
     for step in range(1, n_steps + 1):
-        f = scheme.cont_factors(rng, n_paths)
-        if f is None:
-            mat = mat @ scheme.drift_factor
-        else:
-            mat = mat @ f
+        mat = _rowvec_product(mat, scheme.cont_factors(rng, n_paths))
         for act, choice in scheme.jump_plan(rng, n_paths):
-            mat[act] = mat[act] @ scheme.jump_factors[choice]
+            mat[act] = _rowvec_product(mat[act], scheme.jump_factors[choice])
         if renormalize:
             scale = np.sqrt(np.einsum("pij,pij->p", mat, mat))
             logs = logs + np.log(scale)

@@ -314,10 +314,11 @@ def _run_invariant_measure(triplet, params, seed):
     n_steps = _param(params, "n_steps", int)
     burn_in = _param(params, "burn_in", int)
     n_chains = _param(params, "n_chains", int)
-    dt = _param(params, "dt", float, default=-1.0)
-    measure = estimate_invariant_measure(
-        triplet, h, n_steps, burn_in, n_chains, seed,
-        dt=None if dt <= 0 else dt)
+    dt = _param(params, "dt", float, default=None)
+    if dt is not None and dt <= 0:
+        raise ConfigError("parameters.dt", "expected a positive number")
+    measure = estimate_invariant_measure(triplet, h, n_steps, burn_in, n_chains,
+                                         seed, dt=dt)
     d = triplet.d
     header = [f"v{i + 1}" for i in range(d)] + ["weight"]
     if d == 2:
@@ -370,8 +371,10 @@ def _run_generator_check(triplet, params, seed):
     n_substeps = _param(params, "n_substeps", int, default=8)
     width = _param(params, "bump_width", float, default=1.0)
     d = triplet.d
-    x = params.get("x")
-    x = np.eye(d) if x is None else np.asarray(x, dtype=float).reshape(d, d)
+    x = _param(params, "x", list, default=None)
+    if x is not None and len(x) != d * d:
+        raise ConfigError("parameters.x", f"expected {d * d} numbers, got {len(x)}")
+    x = np.eye(d) if x is None else np.asarray(x).reshape(d, d)
     f = _gauss_bump(np.eye(d), width)
     rows_raw, a_val = generator_mc_check(triplet, f, x, h_grid, n_paths, seed,
                                          n_substeps=n_substeps)

@@ -150,6 +150,25 @@ class TestMain:
         assert cli.main(["simulate", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err != ""
 
+    def test_generator_check_wrong_x_length_exit_two(self, tmp_path, capsys):
+        doc = {"triplet": "standard_brownian(2)", "experiment": "generator_check",
+               "parameters": {"h_grid": [0.01], "n_paths": 100, "seed": 1,
+                              "x": [1, 0, 0]},
+               "output_dir": str(tmp_path / "o")}
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main(["generator_check", "--config", str(cfg)]) == 2
+        assert "parameters.x" in capsys.readouterr().err
+
+    def test_invariant_measure_nonpositive_dt_exit_two(self, tmp_path, capsys):
+        doc = {"triplet": "standard_brownian(2)",
+               "experiment": "invariant_measure",
+               "parameters": {"h": 0.2, "n_steps": 30, "burn_in": 10,
+                              "n_chains": 4, "seed": 3, "dt": -3},
+               "output_dir": str(tmp_path / "o")}
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main(["invariant_measure", "--config", str(cfg)]) == 2
+        assert "parameters.dt" in capsys.readouterr().err
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = _simulate_config(tmp_path)
         assert cli.main(["simulate", "--config", str(cfg),
@@ -244,6 +263,18 @@ class TestExperimentRunners:
         text = (tmp_path / "o" / "invariant_measure.csv").read_text()
         assert text.splitlines()[0] == "angle,v1,v2,weight"
         assert len(text.splitlines()) == 1 + 20 * 4
+
+    def test_invariant_measure_absent_dt_is_default_substep(self, tmp_path):
+        params = {"h": 0.2, "n_steps": 30, "burn_in": 10, "n_chains": 4, "seed": 3}
+        texts = []
+        for name, extra in (("absent", {}), ("explicit", {"dt": 0.05})):
+            doc = {"triplet": "standard_brownian(2)",
+                   "experiment": "invariant_measure",
+                   "parameters": {**params, **extra},
+                   "output_dir": str(tmp_path / name)}
+            cli.run_scenario(_write_config(tmp_path, doc, name=f"{name}.json"))
+            texts.append((tmp_path / name / "invariant_measure.csv").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_mixing(self, tmp_path):
         doc = {"triplet": "standard_brownian(2)", "experiment": "mixing",
