@@ -113,8 +113,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """rows: a list of rows of mixed cells, or a float ndarray, which is
+    written with one row template; both give the same bytes for floats."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        template = ",".join(["%.17g"] * rows.shape[1])
+        lines.extend(template % tuple(row) for row in rows.tolist())
+    else:
+        lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -185,7 +191,7 @@ def _holder_fn(params: dict, d: int) -> HolderFn:
     if u.shape != (d,):
         raise ConfigError("parameters.f.u", f"expected a length-{d} vector")
     u = u / np.linalg.norm(u)
-    return HolderFn(eval=lambda p: float(np.dot(p.v, u)) ** 2, gamma=1.0)
+    return HolderFn(eval=lambda p: (u @ p.v) ** 2, gamma=1.0)
 
 
 def _gauss_bump(center: np.ndarray, width: float) -> SmoothFunction:
@@ -321,14 +327,13 @@ def _run_invariant_measure(triplet, params, seed):
                                          seed, dt=dt)
     d = triplet.d
     header = [f"v{i + 1}" for i in range(d)] + ["weight"]
+    columns = [measure.points, measure.weights]
     if d == 2:
         header = ["angle", *header]
-        rows = [[p.angle(), *p.v, w] for p, w in zip(measure.points, measure.weights)]
-    else:
-        rows = [[*p.v, w] for p, w in zip(measure.points, measure.weights)]
+        columns.insert(0, measure.angles())
     summary = {"n_points": len(measure.points), "h": h,
                "n_chains": n_chains, "burn_in": burn_in}
-    return summary, header, rows
+    return summary, header, np.column_stack(columns)
 
 
 def _run_mixing(triplet, params, seed):

@@ -16,7 +16,7 @@ from . import _engine
 from ._linalg import op_norm
 from .levy_model import MatrixLevyTriplet
 from .path_sampler import ExpPath, SingularState
-from .projective import EmpiricalMeasure, HolderFn, ProjPoint
+from .projective import EmpiricalMeasure, HolderFn, _eval_lines
 
 __all__ = [
     "FunctionalSpec", "CltReport", "MomentFunctionReport", "BerryEsseenReport",
@@ -292,7 +292,7 @@ def berry_esseen_curve(triplet: MatrixLevyTriplet, F: FunctionalSpec, t_grid,
             emp = pos / n_paths
             dist = float(np.max(np.abs(emp - phi_cdf)))
         else:
-            phi_vals = np.array([phi.eval(ProjPoint(v)) for v in dirs[k]])
+            phi_vals = _eval_lines(phi.eval, dirs[k].T)
             csum = np.concatenate([[0.0], np.cumsum(phi_vals[order])]) / n_paths
             dist = float(np.max(np.abs(csum[pos] - pi_phi * phi_cdf)))
         rows.append((float(t), dist, n_paths))

@@ -30,23 +30,25 @@ _SIGN_TOL = 1e-12
 
 def canonical_unit(v) -> np.ndarray:
     """Unit representative with its first coordinate of modulus > 1e-12 made
-    positive; idempotent, and identical for v and -v."""
+    positive; idempotent, and identical for v and -v.  A (d, n) array is n
+    vectors along its second axis, each canonicalized exactly as if alone."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0 or not np.isfinite(n):
+    cols = v.reshape(len(v), -1)
+    # summed coordinate by coordinate, so a column rounds the same in any batch
+    norms = np.sqrt(sum(x * x for x in cols))
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise ValueError("cannot project the zero (or non-finite) vector")
-    u = v / n
-    for x in u:
-        if abs(x) > _SIGN_TOL:
-            if x < 0:
-                u = -u
-            break
-    return u
+    u = cols / norms
+    big = np.abs(u) > _SIGN_TOL
+    lead = np.take_along_axis(u, np.argmax(big, axis=0)[None], axis=0)[0]
+    return np.where(lead < 0, -u, u).reshape(v.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
-    """A line through the origin, stored as a canonical unit vector."""
+    """A line through the origin, or n lines at once, stored as canonical unit
+    vectors: ``v`` has shape (d,) or (d, n), coordinates first, so ``v[i]`` is
+    coordinate i of every line."""
 
     v: np.ndarray
 
@@ -59,44 +61,60 @@ class ProjPoint:
     def d(self) -> int:
         return len(self.v)
 
-    def angle(self) -> float:
-        """Representative angle in [0, pi); d = 2 only."""
+    def angle(self) -> float | np.ndarray:
+        """Representative angle in [0, pi), one per line; d = 2 only."""
         if self.d != 2:
             raise ValueError("angle is defined for d = 2 only")
-        return math.atan2(self.v[1], self.v[0]) % math.pi
+        return np.arctan2(self.v[1], self.v[0]) % np.pi
+
+
+def _eval_lines(fn, v: np.ndarray) -> np.ndarray:
+    """fn on the lines along the second axis of the (d, n) array v, called
+    once on them as one ProjPoint; a scalar result is broadcast to (n,)."""
+    vals = np.asarray(fn(ProjPoint(v)), dtype=float)
+    return np.broadcast_to(vals, v.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Weighted sample approximation of a measure on projective space."""
+    """Weighted sample approximation of a measure on projective space;
+    ``points`` is an (n, d) array of canonical unit rows."""
 
-    points: tuple[ProjPoint, ...]
+    points: np.ndarray
     weights: np.ndarray
     meta: dict
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) != len(self.points):
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("points must be an (n, d) array")
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1 or len(w) != len(pts):
             raise ValueError("weights must align with points")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
-        w = w.copy()
+        pts.setflags(write=False)
         w.setflags(write=False)
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "points", tuple(self.points))
 
-    def integrate(self, fn: Callable[[ProjPoint], float]) -> float:
-        return float(sum(w * fn(p) for w, p in zip(self.weights, self.points)))
+    def integrate(self, fn: Callable[[ProjPoint], np.ndarray | float]) -> float:
+        """sum_i w_i fn(p_i); fn is called once, on all points as one ProjPoint."""
+        return float(self.weights @ _eval_lines(fn, self.points.T))
 
     def angles(self) -> np.ndarray:
-        return np.array([p.angle() for p in self.points])
+        return ProjPoint(self.points.T).angle()
 
 
 @dataclass(frozen=True)
 class HolderFn:
-    """Test function on projective space with a Holder exponent in (0, 1]."""
+    """Test function on projective space with a Holder exponent in (0, 1].
 
-    eval: Callable[[ProjPoint], float]
+    ``eval`` takes a ProjPoint holding n lines (``p.v`` of shape (d, n)) and
+    returns their n values, or one scalar shared by all of them.
+    """
+
+    eval: Callable[[ProjPoint], np.ndarray | float]
     gamma: float = 1.0
     seminorm_bound: float | None = None
 
@@ -175,6 +193,8 @@ def estimate_invariant_measure(triplet: MatrixLevyTriplet, h: float,
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    if dt is not None and dt <= 0:
+        raise ValueError("dt must be positive")
     if not 0 <= burn_in < n_steps:
         raise ValueError("need 0 <= burn_in < n_steps")
     dt = min(h, 0.05) if dt is None else dt
@@ -185,8 +205,7 @@ def estimate_invariant_measure(triplet: MatrixLevyTriplet, h: float,
     _, dirs, _ = _engine.evolve_vectors(
         triplet, starts[:, None, :], n_steps * h, n_chains, s_engine,
         snap_times, dt=h / max(1, int(round(h / dt))))
-    pooled = dirs[:, :, 0, :].reshape(-1, triplet.d)
-    points = tuple(ProjPoint(row) for row in pooled)
+    points = canonical_unit(dirs[:, :, 0, :].reshape(-1, triplet.d).T).T
     weights = np.full(len(points), 1.0 / len(points))
     meta = {
         "h": h, "n_steps": n_steps, "burn_in": burn_in,
@@ -253,14 +272,11 @@ def mixing_rate(triplet: MatrixLevyTriplet, f: HolderFn, starts, t_grid,
         triplet, start_arr, float(t_grid.max()), n_paths, seed,
         t_grid[order], dt=dt)
 
-    m = len(start_arr)
+    m, d = start_arr.shape
     sup_diffs = np.empty(len(t_grid))
     ses = np.empty(len(t_grid))
     for pos, k in enumerate(order):
-        vals = np.empty((n_paths, m))
-        snap = dirs[pos]
-        for j in range(m):
-            vals[:, j] = [f.eval(ProjPoint(snap[b, j])) for b in range(n_paths)]
+        vals = _eval_lines(f.eval, dirs[pos].reshape(-1, d).T).reshape(n_paths, m)
         means = vals.mean(axis=0)
         hi, lo = int(np.argmax(means)), int(np.argmin(means))
         sup_diffs[k] = float(means[hi] - means[lo])

@@ -185,8 +185,8 @@ def test_criterion_08_nonnegative_dynamics_stay_in_positive_orthant():
     meas = lf.estimate_invariant_measure(trip, h=0.1, n_steps=600, burn_in=100,
                                          n_chains=20, seed=8)
     worst = np.inf
-    for p in meas.points:
-        v = p.v * np.sign(p.v[np.argmax(np.abs(p.v))])
+    for v in meas.points:
+        v = v * np.sign(v[np.argmax(np.abs(v))])
         worst = min(worst, float(v.min()))
     ok = worst > 0.0
     _verdict(8, "positive-orthant absorption",

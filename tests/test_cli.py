@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import levyflow as lf
 from levyflow import cli
 
 
@@ -94,6 +95,22 @@ class TestRunScenario:
                 assert cell == f"{float(cell):.17g}" or float(cell) == float(cell)
                 # the formatter must round-trip exactly
                 assert float(f"{float(cell):.17g}") == float(cell)
+
+
+    def test_float_array_rows_write_the_same_bytes_as_list_rows(self, tmp_path):
+        table = np.array([
+            [0.0, -0.0, 1.0, -1.0],
+            [np.nan, np.inf, -np.inf, 5e-324],
+            [0.1, 1.0 / 3.0, 2.0 / 3.0, 1.7976931348623157e308],
+            [123456789.12345678, -2.2250738585072014e-308, 1e22, 9007199254740993.0],
+        ])
+        cli._write_csv(tmp_path / "array.csv", ["a", "b", "c", "d"], table)
+        cli._write_csv(tmp_path / "list.csv", ["a", "b", "c", "d"], table.tolist())
+        text = (tmp_path / "array.csv").read_bytes()
+        assert text == (tmp_path / "list.csv").read_bytes()
+        assert text.splitlines()[1] == b"0,-0,1,-1"
+        assert text.splitlines()[2] == b"nan,inf,-inf,4.9406564584124654e-324"
+        assert text.splitlines()[3].split(b",")[1] == b"0.33333333333333331"
 
 
 class TestConfigErrors:
@@ -263,6 +280,23 @@ class TestExperimentRunners:
         text = (tmp_path / "o" / "invariant_measure.csv").read_text()
         assert text.splitlines()[0] == "angle,v1,v2,weight"
         assert len(text.splitlines()) == 1 + 20 * 4
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_invariant_measure_csv_is_the_library_measure(self, tmp_path, d):
+        params = {"h": 0.2, "n_steps": 30, "burn_in": 10, "n_chains": 4, "seed": 3}
+        doc = {"triplet": f"standard_brownian({d})",
+               "experiment": "invariant_measure", "parameters": params,
+               "output_dir": str(tmp_path / "o")}
+        cli.run_scenario(_write_config(tmp_path, doc))
+        table = np.loadtxt(tmp_path / "o" / "invariant_measure.csv",
+                           delimiter=",", skiprows=1)
+        meas = lf.estimate_invariant_measure(
+            lf.builtin_triplet(f"standard_brownian({d})"), params["h"],
+            params["n_steps"], params["burn_in"], params["n_chains"], params["seed"])
+        np.testing.assert_array_equal(table[:, -1], meas.weights)
+        np.testing.assert_array_equal(table[:, -1 - d:-1], meas.points)
+        if d == 2:
+            np.testing.assert_array_equal(table[:, 0], meas.angles())
 
     def test_invariant_measure_absent_dt_is_default_substep(self, tmp_path):
         params = {"h": 0.2, "n_steps": 30, "burn_in": 10, "n_chains": 4, "seed": 3}

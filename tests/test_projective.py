@@ -35,6 +35,48 @@ class TestCanonicalUnit:
         with pytest.raises(ValueError):
             canonical_unit(np.zeros(2))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_equals_per_column_calls(self, d):
+        from levyflow.projective import canonical_unit
+        rng = np.random.default_rng(10 + d)
+        V = rng.standard_normal((d, 40))
+        # leading coordinates of modulus <= 1e-12 (zero only where another
+        # coordinate keeps the vector nonzero)
+        tiny = [1e-12, -1e-12, 5e-13, -5e-13] + ([0.0, -0.0] if d > 1 else [])
+        V[0, :10] = rng.choice(tiny, size=10)
+        V[:, 10:20] = -np.abs(V[:, 10:20])  # negative leads
+        if d > 1:
+            V[0, 20:25] = 0.0
+            V[1, 20:25] = -1.0  # the lead sits past a zero first coordinate
+        U = canonical_unit(V)
+        assert U.shape == (d, 40)
+        for j in range(V.shape[1]):
+            np.testing.assert_array_equal(U[:, j], canonical_unit(V[:, j]))
+            assert U[:, j].tobytes() == canonical_unit(V[:, j]).tobytes()
+        np.testing.assert_array_equal(canonical_unit(-V), U)
+
+    def test_batch_with_a_degenerate_column_rejected(self):
+        from levyflow.projective import canonical_unit
+        V = np.ones((2, 5))
+        for bad in (0.0, np.inf, np.nan):
+            W = V.copy()
+            W[:, 3] = [bad, 0.0]
+            with pytest.raises(ValueError):
+                canonical_unit(W)
+
+    def test_batched_proj_point(self):
+        rng = np.random.default_rng(3)
+        V = rng.standard_normal((2, 25))
+        batch = lf.ProjPoint(V)
+        assert batch.d == 2 and batch.v.shape == (2, 25)
+        assert not batch.v.flags.writeable
+        angles = batch.angle()
+        for j in range(V.shape[1]):
+            one = lf.ProjPoint(V[:, j])
+            np.testing.assert_array_equal(batch.v[:, j], one.v)
+            assert angles[j] == one.angle()
+            assert 0.0 <= angles[j] < np.pi
+
     def test_proj_point_angle(self):
         assert lf.ProjPoint(np.array([1.0, 0.0])).angle() == pytest.approx(0.0)
         assert lf.ProjPoint(np.array([0.0, 1.0])).angle() == pytest.approx(np.pi / 2)
@@ -96,9 +138,7 @@ class TestInvariantMeasure:
         assert len(m1.points) == 30 * 5
         assert np.all(m1.weights >= 0)
         assert m1.weights.sum() == pytest.approx(1.0)
-        np.testing.assert_array_equal(
-            np.array([p.v for p in m1.points]),
-            np.array([p.v for p in m2.points]))
+        np.testing.assert_array_equal(m1.points, m2.points)
         assert m1.meta["burn_in"] == 10
 
     def test_integrate(self):
@@ -112,6 +152,35 @@ class TestInvariantMeasure:
         with pytest.raises(ValueError):
             lf.estimate_invariant_measure(SB2, h=0.2, n_steps=10, burn_in=10,
                                           n_chains=2, seed=0)
+
+    @pytest.mark.parametrize("dt", [0.0, -3.0])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            lf.estimate_invariant_measure(SB2, h=0.2, n_steps=30, burn_in=10,
+                                          n_chains=4, seed=3, dt=dt)
+
+    def test_points_are_a_read_only_canonical_array(self):
+        from levyflow.projective import canonical_unit
+        meas = lf.estimate_invariant_measure(SB2, h=0.2, n_steps=40,
+                                             burn_in=10, n_chains=5, seed=3)
+        assert meas.points.shape == (150, 2)
+        assert not meas.points.flags.writeable
+        # rows are canonical: canonicalizing again moves them by rounding only
+        np.testing.assert_allclose(canonical_unit(meas.points.T).T, meas.points,
+                                   rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            meas.points[0, 0] = 1.0
+
+    def test_measure_arrays_validated(self):
+        w = np.full(3, 1.0 / 3.0)
+        with pytest.raises(ValueError):
+            lf.EmpiricalMeasure(points=np.ones(3), weights=w, meta={})
+        with pytest.raises(ValueError):
+            lf.EmpiricalMeasure(points=np.ones((4, 2)), weights=w, meta={})
+        pts = np.eye(3)
+        meas = lf.EmpiricalMeasure(points=pts, weights=w, meta={})
+        pts[0, 0] = 5.0  # the measure keeps its own read-only copy
+        assert meas.points[0, 0] == 1.0
 
 
 class TestContraction:
@@ -147,6 +216,52 @@ class TestMixingRate:
         assert rep.d_hat > 0.5
         assert rep.sup_diffs.shape == (5,)
 
+    def test_f_called_once_per_grid_time(self):
+        calls = []
+
+        def f(p):
+            calls.append(p.v.shape)
+            return p.v[0] ** 2
+
+        starts = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
+        rep = lf.mixing_rate(SB2, lf.HolderFn(eval=f), starts, [0.5, 1.0, 0.25],
+                             n_paths=50, seed=1)
+        assert calls == [(2, 150)] * 3
+        # a constant f returns one scalar, broadcast to every sample
+        flat = lf.mixing_rate(SB2, lf.HolderFn(eval=lambda p: 1.0), starts,
+                              [0.5, 1.0], n_paths=50, seed=1)
+        np.testing.assert_array_equal(flat.sup_diffs, 0.0)
+        assert rep.sup_diffs.shape == (3,)
+
     def test_holder_exponent_validated(self):
         with pytest.raises(ValueError):
             lf.HolderFn(eval=lambda p: 0.0, gamma=0.0)
+
+
+class TestBerryEsseenWithPhi:
+    def test_matches_a_per_point_reference(self):
+        from scipy import stats
+
+        from levyflow.limits import _terminal_log_samples
+        F = lf.FunctionalSpec.vector_norm([1.0, 0.0])
+        phi = lf.HolderFn(eval=lambda p: p.v[0] ** 2)
+        meas = lf.estimate_invariant_measure(SB2, h=0.2, n_steps=40,
+                                             burn_in=10, n_chains=5, seed=3)
+        t_grid, n_paths, seed, dt = [1.0, 2.0, 4.0], 2000, 11, 0.1
+        rep = lf.berry_esseen_curve(SB2, F, t_grid, n_paths, phi=phi, seed=seed,
+                                    measure=meas, dt=dt)
+
+        ts, samples, dirs = _terminal_log_samples(SB2, F, np.array(t_grid),
+                                                  n_paths, seed, dt)
+        lam = samples[-1].mean() / ts[-1]
+        sigma = samples[-1].std(ddof=1) / np.sqrt(ts[-1])
+        pi_phi = sum(w * phi.eval(lf.ProjPoint(v))
+                     for w, v in zip(meas.weights, meas.points))
+        z = np.linspace(-3.0, 3.0, 121)
+        for k, t in enumerate(ts):
+            u = (samples[k] - t * lam) / (sigma * np.sqrt(t))
+            vals = np.array([phi.eval(lf.ProjPoint(v)) for v in dirs[k]])
+            joint = np.array([vals[u <= zk].sum() for zk in z]) / n_paths
+            dist = np.max(np.abs(joint - pi_phi * stats.norm.cdf(z)))
+            assert rep.rows[k][0] == t
+            assert rep.rows[k][1] == pytest.approx(dist, abs=1e-12)
