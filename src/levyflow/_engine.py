@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import psd_factor
+from ._linalg import grid_indices, psd_factor
 from .levy_model import MatrixLevyTriplet
 
 
@@ -84,17 +84,14 @@ def _rowvec_product(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     return v @ f
 
 
-def _snapshot_indices(snapshot_times, n_steps: int, dt: float, T: float):
-    idx = []
-    for t in snapshot_times:
-        k = int(round(t / dt))
-        if k < 0 or k > n_steps or abs(k * dt - t) > 1e-9 * max(1.0, T):
-            raise ValueError(f"snapshot time {t} does not align with the step grid")
-        idx.append(k)
+def _snapshot_indices(snapshot_times, n_steps: int, dt: float):
+    """Snapshot times on the step grid k * dt, and step -> snapshot positions."""
+    grid = np.arange(n_steps + 1) * dt
+    idx = grid_indices(grid, snapshot_times)
     by_step: dict[int, list[int]] = {}
-    for pos, k in enumerate(idx):
+    for pos, k in enumerate(idx.tolist()):
         by_step.setdefault(k, []).append(pos)
-    return idx, by_step
+    return grid[idx], by_step
 
 
 def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
@@ -117,7 +114,7 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     _, m, d = starts.shape
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
-    snap, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff, T)
+    times, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff)
     scheme = _StepScheme(triplet, dt_eff)
     rng = np.random.default_rng(seed)
 
@@ -126,8 +123,8 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     logs = np.log(norms)
     v /= norms[..., None]
 
-    out_dirs = np.empty((len(snap), n_paths, m, d))
-    out_logs = np.empty((len(snap), n_paths, m))
+    out_dirs = np.empty((len(times), n_paths, m, d))
+    out_logs = np.empty((len(times), n_paths, m))
 
     def record(step):
         for pos in by_step.get(step, ()):
@@ -143,7 +140,6 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
         logs = logs + np.log(norms)
         v /= norms[..., None]
         record(step)
-    times = np.array([k * dt_eff for k in snap])
     return times, out_dirs, out_logs
 
 
@@ -158,14 +154,14 @@ def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
     d = triplet.d
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
-    snap, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff, T)
+    times, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff)
     scheme = _StepScheme(triplet, dt_eff)
     rng = np.random.default_rng(seed)
 
     mat = np.broadcast_to(np.eye(d), (n_paths, d, d)).copy()
     logs = np.zeros(n_paths)
-    out_mats = np.empty((len(snap), n_paths, d, d))
-    out_logs = np.empty((len(snap), n_paths))
+    out_mats = np.empty((len(times), n_paths, d, d))
+    out_logs = np.empty((len(times), n_paths))
 
     def record(step):
         for pos in by_step.get(step, ()):
@@ -182,7 +178,6 @@ def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
             logs = logs + np.log(scale)
             mat = mat / scale[:, None, None]
         record(step)
-    times = np.array([k * dt_eff for k in snap])
     return times, out_mats, out_logs
 
 

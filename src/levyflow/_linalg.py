@@ -11,6 +11,7 @@ import numpy as np
 
 __all__ = [
     "vec", "unvec", "op_norm", "fro_norm", "psd_factor", "log_abs_det",
+    "grid_indices",
 ]
 
 
@@ -50,3 +51,21 @@ def log_abs_det(a: np.ndarray) -> tuple[float, float]:
     """(sign, log|det a|) via pivoted LU; safe against overflow/underflow."""
     sign, logabs = np.linalg.slogdet(a)
     return float(sign), float(logabs)
+
+
+def grid_indices(grid: np.ndarray, times) -> np.ndarray:
+    """Index of the nearest point of the increasing ``grid`` for each time.
+
+    A time farther than 1e-9 * max(1, grid[-1]) from every grid point, or
+    NaN, raises ``ValueError``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    # k in [1, len(grid) - 1] with grid[k - 1] < t <= grid[k] for t inside
+    # the grid, then one step back where grid[k - 1] is the nearer point
+    k = np.searchsorted(grid[1:-1], times) + 1
+    k -= times - grid[k - 1] < grid[k] - times
+    off = ~(np.abs(grid[k] - times) <= 1e-9 * max(1.0, float(grid[-1])))
+    if off.any():
+        raise ValueError(f"time {times[off][0]} is not a grid point")
+    return k

@@ -37,8 +37,7 @@ class CheckTriplet:
     sigma_D: float
     gamma_D: float
     nu_D: tuple[tuple[float, float], ...]
-    mean_exists: bool
-    mean: float | None
+    mean: float
 
 
 def _sigma_d(sigma: np.ndarray, d: int) -> float:
@@ -80,8 +79,7 @@ def check_characteristics(triplet: MatrixLevyTriplet) -> CheckTriplet:
         mean += r * (v - tr_a * small_atom)
         if v != 0.0:
             nu.append((r, v))
-    return CheckTriplet(sigma_D=sigma_d, gamma_D=gamma_d, nu_D=tuple(nu),
-                        mean_exists=True, mean=mean)
+    return CheckTriplet(sigma_D=sigma_d, gamma_D=gamma_d, nu_D=tuple(nu), mean=mean)
 
 
 def det_log_series(path: LevyPath, triplet: MatrixLevyTriplet):

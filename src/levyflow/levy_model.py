@@ -154,7 +154,6 @@ class MomentReport:
     epsilon: float
     integral_big: float
     integral_inv: float
-    finite: bool
     sufficient_small_jump_bound: float | None
 
 
@@ -240,7 +239,6 @@ def moment_check(triplet: MatrixLevyTriplet, epsilon: float) -> MomentReport:
         epsilon=float(epsilon),
         integral_big=big,
         integral_inv=inv,
-        finite=True,
         sufficient_small_jump_bound=small,
     )
 

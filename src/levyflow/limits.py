@@ -15,7 +15,7 @@ from scipy import stats
 from . import _engine
 from ._linalg import op_norm
 from .levy_model import MatrixLevyTriplet
-from .path_sampler import ExpPath, SingularState
+from .path_sampler import ExpPath
 from .projective import EmpiricalMeasure, HolderFn, _eval_lines
 
 __all__ = [
@@ -312,15 +312,8 @@ def m_statistics(exp_path: ExpPath, probes):
     """M(X_t) = max(||X_t||, ||X_t^{-1}||) per grid point, and the count of
     probe violations of |log ||y X_t|| | <= log M(X_t) (expected 0)."""
     X = exp_path.X
-    if exp_path.Xinv is not None:
-        Xi = exp_path.Xinv
-    else:
-        try:
-            Xi = np.linalg.inv(X)
-        except np.linalg.LinAlgError:
-            raise SingularState("a state on the path is singular") from None
     sv_x = np.linalg.svd(X, compute_uv=False)[:, 0]
-    sv_xi = np.linalg.svd(Xi, compute_uv=False)[:, 0]
+    sv_xi = np.linalg.svd(exp_path.Xinv, compute_uv=False)[:, 0]
     m_series = np.maximum(sv_x, sv_xi)
 
     violations = 0

@@ -10,11 +10,12 @@ jumps, the exact factors (I + mark) in list order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import op_norm, psd_factor
+from ._linalg import grid_indices, op_norm, psd_factor
 from .levy_model import DET_TOL, MatrixLevyTriplet
 
 __all__ = [
@@ -104,12 +105,11 @@ class ExpPath:
     At a grid point carrying jumps, ``X`` holds the post-jump value; the
     pre/post states around each individual jump factor are recorded in
     ``jump_pre``/``jump_post`` (aligned with ``jump_times``) so that marks can
-    be recovered exactly.
+    be recovered exactly.  ``Xinv`` is computed on first use.
     """
 
     grid: np.ndarray
     X: np.ndarray
-    Xinv: np.ndarray | None
     method: str
     jump_times: np.ndarray = field(default_factory=lambda: _EMPTY)
     jump_pre: np.ndarray = field(default_factory=lambda: _EMPTY3)
@@ -122,6 +122,14 @@ class ExpPath:
     @property
     def T(self) -> float:
         return float(self.grid[-1])
+
+    @cached_property
+    def Xinv(self) -> np.ndarray:
+        """X_t^{-1} at every grid point."""
+        try:
+            return np.linalg.inv(self.X)
+        except np.linalg.LinAlgError:
+            raise SingularState("a state on the path is singular") from None
 
 
 @dataclass(frozen=True)
@@ -145,45 +153,32 @@ class MeanCheckReport:
 def _marks_by_grid_index(path: LevyPath) -> dict[int, list[np.ndarray]]:
     """Map grid index -> marks applied at that grid point, preserving order."""
     out: dict[int, list[np.ndarray]] = {}
-    grid = path.grid
-    tol = 1e-9 * max(1.0, float(grid[-1]))
-    for t, a in path.jumps:
-        k = int(np.searchsorted(grid, t))
-        if k < len(grid) and abs(grid[k] - t) <= tol:
-            idx = k
-        elif k > 0 and abs(grid[k - 1] - t) <= tol:
-            idx = k - 1
-        else:
-            raise ValueError(f"jump time {t} is not a grid point")
-        if idx == 0:
+    idx = grid_indices(path.grid, [t for t, _ in path.jumps])
+    for k, (_, a) in zip(idx.tolist(), path.jumps):
+        if k == 0:
             raise ValueError("jump times must lie in (0, T]")
-        out.setdefault(idx, []).append(a)
+        out.setdefault(k, []).append(a)
     return out
 
 
 def _walk(path: LevyPath, cell_factors, method: str,
-          cell_inv=None, check_dets: bool = False) -> ExpPath:
+          check_dets: bool = False) -> ExpPath:
     """Multiply out cell factors and jump factors along the grid."""
     n = len(path.grid)
     d = path.d
     eye = np.eye(d)
     marks = _marks_by_grid_index(path)
     X = np.empty((n, d, d))
-    Xi = np.empty((n, d, d))
     X[0] = eye
-    Xi[0] = eye
     jt: list[float] = []
     jpre: list[np.ndarray] = []
     jpost: list[np.ndarray] = []
     cur = X[0]
-    cui = Xi[0]
     for c in range(n - 1):
         f = cell_factors[c]
         if check_dets and abs(np.linalg.det(f)) <= DET_TOL:
             raise SingularFactor(f"cell {c}: |det(I + increment)| <= {DET_TOL}")
-        fi = cell_inv[c] if cell_inv is not None else np.linalg.solve(f, eye)
         cur = cur @ f
-        cui = fi @ cui
         for a in marks.get(c + 1, []):
             g = eye + a
             if abs(np.linalg.det(g)) <= DET_TOL:
@@ -191,12 +186,10 @@ def _walk(path: LevyPath, cell_factors, method: str,
             jt.append(float(path.grid[c + 1]))
             jpre.append(cur)
             cur = cur @ g
-            cui = np.linalg.solve(g, eye) @ cui
             jpost.append(cur)
         X[c + 1] = cur
-        Xi[c + 1] = cui
     return ExpPath(
-        grid=path.grid, X=X, Xinv=Xi, method=method,
+        grid=path.grid, X=X, method=method,
         jump_times=np.array(jt),
         jump_pre=np.array(jpre) if jpre else np.empty((0, d, d)),
         jump_post=np.array(jpost) if jpost else np.empty((0, d, d)),
@@ -283,16 +276,8 @@ def exact_cpp_exponential(path: LevyPath, triplet: MatrixLevyTriplet) -> ExpPath
     """
     if triplet.has_gaussian_part():
         raise HasGaussianPart("exact product requires a triplet with sigma = 0")
-    g0 = triplet.drift()
-    lens = np.diff(path.grid)
-    if np.any(g0 != 0.0):
-        factors = [expm(el * g0) for el in lens]
-        invs = [expm(-el * g0) for el in lens]
-    else:
-        eye = np.eye(path.d)
-        factors = [eye] * len(lens)
-        invs = [eye] * len(lens)
-    return _walk(path, factors, "exact_cpp", cell_inv=invs)
+    factors = expm(np.diff(path.grid)[:, None, None] * triplet.drift())
+    return _walk(path, factors, "exact_cpp")
 
 
 def emery_exponential(path: LevyPath) -> ExpPath:
@@ -310,61 +295,40 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
     Jumps with operator norm >= eps are removed from the path and the
     exponential X^eps of the truncated path is computed; with Q(s, t) =
     (X^eps_s)^{-1} X^eps_t its two-sided transitions and tau_1 < ... < tau_N
-    the removed jump times with marks D_k,
+    the removed jump times with marks D_k, the reconstruction identity is
 
         X_T = sum over subsets {k_1 < ... < k_l} of {1..N} of
               Q(0, tau_{k_1}) D_{k_1} Q(tau_{k_1}, tau_{k_2}) ... D_{k_l} Q(tau_{k_l}, T)
 
     (the empty subset contributing Q(0, T) = X^eps_T).  The sum telescopes to
     the interlaced product Q(0,tau_1)(I+D_1)Q(tau_1,tau_2)...(I+D_N)Q(tau_N,T),
-    so the identity with the full-path evaluation is exact factor algebra.
-    The truncated exponential uses the exact product when ``triplet`` (with
-    sigma = 0) is supplied, otherwise the Emery product.
+    which the code computes directly with N + 1 solves against the truncated
+    states at the big-jump grid points; its agreement with the full-path
+    evaluation is exact factor algebra.  A small jump listed after a big jump
+    at the same grid point would be applied before it by the truncated walk,
+    so such a path raises ``ValueError``.  The truncated exponential uses the
+    exact product when ``triplet`` (with sigma = 0) is supplied, otherwise
+    the Emery product.
     """
-    from itertools import combinations
-
-    big = [(t, a) for t, a in path.jumps if op_norm(a) >= eps]
-    big.sort(key=lambda ta: ta[0])
-    small = tuple((t, a) for t, a in path.jumps if op_norm(a) < eps)
+    is_big = np.array([op_norm(a) >= eps for _, a in path.jumps], dtype=bool)
+    idx = grid_indices(path.grid, [t for t, _ in path.jumps])
+    for j in np.flatnonzero(is_big):
+        if np.any(~is_big[j + 1:] & (idx[j + 1:] == idx[j])):
+            raise ValueError(f"a small jump follows a big jump at t={path.jumps[j][0]}")
+    small = tuple(ta for ta, b in zip(path.jumps, is_big) if not b)
     trunc = LevyPath(grid=path.grid, increments=path.increments,
                      jumps=small, seed=path.seed)
     if triplet is not None and not triplet.has_gaussian_part():
-        tr_exp = exact_cpp_exponential(trunc, triplet)
+        X = exact_cpp_exponential(trunc, triplet).X
     else:
-        tr_exp = emery_exponential(trunc)
+        X = emery_exponential(trunc).X
 
-    n_big = len(big)
-    if n_big == 0:
-        return tr_exp.X[-1].copy()
-
-    grid = path.grid
-    tol = 1e-9 * max(1.0, path.T)
-    bidx = []
-    for t, _ in big:
-        k = int(np.searchsorted(grid, t))
-        if k < len(grid) and abs(grid[k] - t) <= tol:
-            bidx.append(k)
-        else:
-            bidx.append(k - 1)
-    bounds = [0] + bidx + [len(grid) - 1]
-    marks = [a for _, a in big]
-
-    # two-sided truncated transitions Q[i][j] between boundary i and j, via
-    # the group property Q(s, t) = (X^eps_s)^{-1} X^eps_t
-    m = n_big + 2
-    Q = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            Q[i][j] = np.linalg.solve(tr_exp.X[bounds[i]], tr_exp.X[bounds[j]])
-
-    total = Q[0][n_big + 1].copy()
-    for ell in range(1, n_big + 1):
-        for ks in combinations(range(1, n_big + 1), ell):
-            term = Q[0][ks[0]]
-            for a, b in zip(ks, ks[1:]):
-                term = term @ marks[a - 1] @ Q[a][b]
-            term = term @ marks[ks[-1] - 1] @ Q[ks[-1]][n_big + 1]
-            total = total + term
+    big = sorted(((k, a) for k, (_, a), b in zip(idx.tolist(), path.jumps, is_big) if b),
+                 key=lambda ka: ka[0])
+    ends = [k for k, _ in big] + [len(path.grid) - 1]
+    total = np.linalg.solve(X[0], X[ends[0]])
+    for (k, a), end in zip(big, ends[1:]):
+        total = total @ (np.eye(path.d) + a) @ np.linalg.solve(X[k], X[end])
     return total
 
 
@@ -377,15 +341,8 @@ def stochastic_logarithm(exp_path: ExpPath) -> LevyPath:
     d = exp_path.d
 
     jump_at: dict[int, list[int]] = {}
-    tol = 1e-9 * max(1.0, exp_path.T)
-    for j, t in enumerate(np.asarray(exp_path.jump_times)):
-        k = int(np.searchsorted(grid, t))
-        if k < len(grid) and abs(grid[k] - t) <= tol:
-            jump_at.setdefault(k, []).append(j)
-        elif k > 0 and abs(grid[k - 1] - t) <= tol:
-            jump_at.setdefault(k - 1, []).append(j)
-        else:
-            raise ValueError(f"jump time {t} is not a grid point")
+    for j, k in enumerate(grid_indices(grid, exp_path.jump_times).tolist()):
+        jump_at.setdefault(k, []).append(j)
 
     def _solve(mat, rhs):
         try:

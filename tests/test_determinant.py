@@ -18,7 +18,6 @@ class TestCharacteristics:
         assert ct.sigma_D == pytest.approx(2.0, abs=1e-14)
         assert ct.gamma_D == pytest.approx(-1.0, abs=1e-14)
         assert ct.nu_D == ()
-        assert ct.mean_exists
         assert ct.mean == pytest.approx(-1.0, abs=1e-14)
 
     def test_rank_one_jump_model(self):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import levyflow as lf
+from levyflow import _engine
 
 ROT = lf.builtin_triplet("rotation_rank1")
 SB2 = lf.builtin_triplet("standard_brownian(2)")
@@ -179,6 +182,142 @@ class TestSkorokhodReconstruct:
         plain = lf.emery_exponential(path).X[-1]
         recon = lf.skorokhod_reconstruct(path, eps=0.5)
         np.testing.assert_allclose(recon, plain, atol=1e-12)
+
+
+def _subset_sum_reconstruct(path, eps, triplet):
+    """The reconstruction identity evaluated term by term: the sum over all
+    2^N subsets of big jumps of Q(0, tau_k1) D_k1 Q(tau_k1, tau_k2) ... Q(tau_kl, T)."""
+    big = [(t, a) for t, a in path.jumps if np.linalg.norm(a, 2) >= eps]
+    small = tuple((t, a) for t, a in path.jumps if np.linalg.norm(a, 2) < eps)
+    trunc = lf.LevyPath(grid=path.grid, increments=path.increments, jumps=small)
+    X = lf.exact_cpp_exponential(trunc, triplet).X
+    bounds = [0] + [int(np.searchsorted(path.grid, t)) for t, _ in big] + [len(path.grid) - 1]
+
+    def q(i, j):
+        return np.linalg.solve(X[bounds[i]], X[bounds[j]])
+
+    n = len(big)
+    total = q(0, n + 1)
+    for ell in range(1, n + 1):
+        for ks in combinations(range(1, n + 1), ell):
+            term = q(0, ks[0])
+            for i, j in zip(ks, ks[1:] + (n + 1,)):
+                term = term @ big[i - 1][1] @ q(i, j)
+            total = total + term
+    return total
+
+
+def _random_jump_path(rng, n_big: int, n_small: int, d: int = 2, T: float = 3.0):
+    """Drift-only triplet plus a path with n_big marks of norm 0.8 and n_small
+    of norm 0.2 at distinct random times; random marks do not commute."""
+    gamma = 0.5 * rng.standard_normal((d, d))
+    marks = rng.standard_normal((n_big + n_small, d, d))
+    marks /= np.linalg.norm(marks, 2, axis=(1, 2))[:, None, None]
+    marks *= np.r_[np.full(n_big, 0.8), np.full(n_small, 0.2)][:, None, None]
+    times = T * (1.0 - rng.random(n_big + n_small))
+    grid = np.unique(np.concatenate([np.linspace(0.0, T, 9), times]))
+    order = np.argsort(times)
+    path = lf.LevyPath(grid=grid, increments=np.diff(grid)[:, None, None] * gamma,
+                       jumps=tuple((float(times[k]), marks[k]) for k in order))
+    return path, _drift_only(gamma)
+
+
+def _rel_err(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestReconstructionProduct:
+    @pytest.mark.parametrize("n_big", [0, 1, 2, 5, 12])
+    def test_product_equals_subset_sum(self, n_big):
+        rng = np.random.default_rng(100 + n_big)
+        for d in (2, 3):
+            path, trip = _random_jump_path(rng, n_big, n_small=3, d=d)
+            recon = lf.skorokhod_reconstruct(path, 0.5, triplet=trip)
+            assert _rel_err(recon, _subset_sum_reconstruct(path, 0.5, trip)) <= 1e-10
+
+    def test_thirty_big_jumps(self):
+        path, trip = _random_jump_path(np.random.default_rng(30), n_big=30, n_small=5)
+        recon = lf.skorokhod_reconstruct(path, 0.5, triplet=trip)
+        exact = lf.exact_cpp_exponential(path, trip).X[-1]
+        assert _rel_err(recon, exact) <= 1e-10
+
+    @pytest.mark.parametrize("small_first", [True, False])
+    def test_big_and_small_jump_at_one_grid_point(self, small_first):
+        big = (0.5, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        small = (0.5, np.array([[0.0, 0.0], [0.3, 0.0]]))
+        path = lf.LevyPath(grid=[0.0, 0.5, 1.0], increments=[0.5 * ROT.drift()] * 2,
+                           jumps=(small, big) if small_first else (big, small))
+        if small_first:
+            recon = lf.skorokhod_reconstruct(path, 0.5, triplet=ROT)
+            exact = lf.exact_cpp_exponential(path, ROT).X[-1]
+            np.testing.assert_allclose(recon, exact, rtol=0, atol=1e-14)
+        else:
+            with pytest.raises(ValueError):
+                lf.skorokhod_reconstruct(path, 0.5, triplet=ROT)
+
+
+# Each caller of the time -> grid-index helper on the grid [0, 0.5, 1],
+# returning the grid time that ``t`` was mapped to.
+
+def _jump_time(t):
+    path = lf.LevyPath(grid=[0.0, 0.5, 1.0], increments=np.zeros((2, 2, 2)),
+                       jumps=((t, 0.5 * np.eye(2)),))
+    return lf.emery_exponential(path).jump_times[0]
+
+
+def _snapshot_vectors(t):
+    return _engine.evolve_vectors(SB2, [1.0, 0.0], 1.0, 2, 0, [t], dt=0.5)[0][0]
+
+
+def _snapshot_matrices(t):
+    return _engine.evolve_matrices(SB2, 1.0, 2, 0, [t], dt=0.5)[0][0]
+
+
+def _log_jump_time(t):
+    eye, post = np.eye(2), 1.5 * np.eye(2)
+    ep = lf.ExpPath(grid=np.array([0.0, 0.5, 1.0]), X=np.array([eye, post, post]),
+                    method="hand", jump_times=np.array([t]),
+                    jump_pre=eye[None], jump_post=post[None])
+    return lf.stochastic_logarithm(ep).jumps[0][0]
+
+
+CALLERS = [_jump_time, _snapshot_vectors, _snapshot_matrices, _log_jump_time]
+
+
+@pytest.mark.parametrize("caller, t, expected", [
+    (_jump_time, 0.25, ValueError),
+    (_jump_time, 0.0, ValueError),
+    (_jump_time, 0.5 + 1e-8, ValueError),
+    (_snapshot_vectors, 0.3, ValueError),
+    (_snapshot_matrices, 0.3, ValueError),
+    (_log_jump_time, 0.25, ValueError),
+    (_jump_time, np.nan, ValueError),
+    (_snapshot_vectors, np.nan, ValueError),
+    *[(c, 0.5 + 1e-11, 0.5) for c in CALLERS],
+    *[(c, 1.0 - 1e-11, 1.0) for c in CALLERS],
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_grid_indices_through_callers(caller, t, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            caller(t)
+    else:
+        assert caller(t) == expected
+
+
+class TestLazyInverse:
+    def test_singular_state_raises(self):
+        eye = np.eye(2)
+        ep = lf.ExpPath(grid=np.array([0.0, 1.0]), X=np.array([eye, np.ones((2, 2))]),
+                        method="hand")
+        with pytest.raises(lf.SingularState):
+            ep.Xinv
+        with pytest.raises(lf.SingularState):
+            lf.m_statistics(ep, [np.array([1.0, 0.0])])
+
+    def test_inverse_is_computed_once(self):
+        ep = lf.exact_cpp_exponential(lf.sample_levy_path(ROT, T=1.0, dt=0.25, seed=2), ROT)
+        assert ep.Xinv is ep.Xinv
+        np.testing.assert_array_equal(ep.Xinv, np.linalg.inv(ep.X))
 
 
 class TestMeanCheck:
