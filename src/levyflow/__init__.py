@@ -10,99 +10,16 @@ irreducibility/proximality certification.
 
 __version__ = "0.1.0"
 
-from .levy_model import (
-    JumpSpec,
-    MatrixLevyTriplet,
-    MomentReport,
-    SingularJump,
-    UnknownName,
-    ValidationReport,
-    builtin_triplet,
-    moment_check,
-    triplet_from_config,
-    triplet_to_config,
-    validate,
-)
-from .path_sampler import (
-    ExpPath,
-    HasGaussianPart,
-    InvalidStep,
-    LevyPath,
-    SingularFactor,
-    SingularState,
-    coarsen_path,
-    emery_exponential,
-    exact_cpp_exponential,
-    mean_check,
-    sample_levy_path,
-    skorokhod_reconstruct,
-    stochastic_logarithm,
-)
-from .determinant import (
-    CheckTriplet,
-    check_characteristics,
-    det_closed_form,
-    det_log_series,
-    det_clt_params,
-    det_growth_mean,
-    sl_membership,
-)
-from .projective import (
-    EmpiricalMeasure,
-    HolderFn,
-    ProjPoint,
-    angular_distance,
-    contraction_estimate,
-    estimate_invariant_measure,
-    mixing_rate,
-    project_chain,
-)
-from .limits import (
-    CltReport,
-    DegenerateNorm,
-    FunctionalSpec,
-    RequiresInvariantMeasure,
-    berry_esseen_curve,
-    clt_diagnostic,
-    lambda_moment_function,
-    lyapunov_estimate,
-    m_statistics,
-)
-from .geometry import (
-    InconsistentDerivatives,
-    IpCertificate,
-    SmoothFunction,
-    generator_apply,
-    generator_mc_check,
-    ip_certify,
-    is_proximal,
-)
+# the package exports each module's public names, listed once in its __all__
+from .levy_model import *  # noqa: F401,F403
+from .path_sampler import *  # noqa: F401,F403
+from .determinant import *  # noqa: F401,F403
+from .projective import *  # noqa: F401,F403
+from .limits import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from . import determinant, geometry, levy_model, limits, path_sampler, projective
 
-__all__ = [
-    "__version__",
-    # levy_model
-    "MatrixLevyTriplet", "JumpSpec", "ValidationReport", "MomentReport",
-    "validate", "moment_check", "builtin_triplet",
-    "triplet_to_config", "triplet_from_config",
-    "UnknownName", "SingularJump",
-    # path_sampler
-    "LevyPath", "ExpPath", "sample_levy_path", "exact_cpp_exponential",
-    "coarsen_path", "emery_exponential", "skorokhod_reconstruct",
-    "stochastic_logarithm",
-    "mean_check", "InvalidStep", "HasGaussianPart", "SingularFactor",
-    "SingularState",
-    # determinant
-    "CheckTriplet", "check_characteristics", "det_closed_form",
-    "det_log_series", "det_growth_mean", "det_clt_params", "sl_membership",
-    # projective
-    "ProjPoint", "EmpiricalMeasure", "HolderFn", "angular_distance",
-    "project_chain", "estimate_invariant_measure", "contraction_estimate",
-    "mixing_rate",
-    # limits
-    "FunctionalSpec", "CltReport", "lyapunov_estimate", "clt_diagnostic",
-    "lambda_moment_function", "berry_esseen_curve", "m_statistics",
-    "DegenerateNorm", "RequiresInvariantMeasure",
-    # geometry
-    "IpCertificate", "SmoothFunction", "is_proximal", "ip_certify",
-    "generator_apply", "generator_mc_check", "InconsistentDerivatives",
+__all__ = ["__version__"] + [
+    name for module in (levy_model, path_sampler, determinant, projective, limits, geometry)
+    for name in module.__all__
 ]

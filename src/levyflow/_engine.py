@@ -1,10 +1,17 @@
 """Internal vectorized Monte Carlo engine.
 
-Batches of exponential states evolve by right-multiplying one factor per time
-step, F = D @ (I + dB) with D = expm(dt * gamma^0) — exact on drift-only
-specifications — followed by the exact jump factors (I + a) for the Poisson
-number of jumps in the cell.  D is folded into the Gaussian factor G of vec(dB)
-once: vec(D @ B) = (I kron D) vec(B), so G' = Pi (I kron D) G, with Pi taking
+Batches of exponential states evolve by right-multiplying, each time step of
+length dt, the continuous factor F = D @ (I + dB) with D = expm(dt * gamma^0),
+then one jump-adapted factor per jump in the cell (Bruti-Liberati & Platen
+2007).  Jump offsets s are drawn in continuous time inside the cell, and a
+jump with mark a at offset s, r = dt - s, applies e^{-r gamma^0} (I + a)
+e^{r gamma^0}.  In time order these factors multiply out to
+D e^{-r_1 gamma^0}(I + a_1) e^{r_1 gamma^0} ... = e^{s_1 gamma^0}(I + a_1)
+e^{(s_2 - s_1) gamma^0} ... (I + a_k) e^{(dt - s_k) gamma^0}, the exact
+product, so the scheme is exact for sigma = 0 at any dt; with sigma > 0,
+E[D (I + dB)] = D and the noise is independent of the jumps, so E[X_t] is
+exact too.  D is folded into the Gaussian factor G of vec(dB) once:
+vec(D @ B) = (I kron D) vec(B), so G' = Pi (I kron D) G, with Pi taking
 column-stacked to row-major order, gives F = D + (z @ G'.T).reshape(n, d, d)
 for standard normals z.  A product of (p, m, d) row vectors with per-path
 factors uses einsum for one row (m = 1) and stacked matmul for several, the
@@ -13,16 +20,17 @@ faster of the two at each shape.  States are renormalized every step
 accumulated separately, so long-horizon norm statistics are exact at snapshot
 times and never overflow.
 
-A single batched RNG stream with a fixed per-step draw order (Gaussians, then
-jump counts, then atom choices) drives each run: results are deterministic
-given the seed, independent of BLAS threading.
+A single batched RNG stream with a fixed per-step draw order drives each run:
+Gaussians, then jump counts, then per jump round the atom choices and the
+offset uniforms.  Results are deterministic given the seed, independent of
+BLAS threading.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import grid_indices, psd_factor
+from ._linalg import expm_family, grid_indices, psd_factor
 from .levy_model import MatrixLevyTriplet
 
 
@@ -45,8 +53,8 @@ class _StepScheme:
             self.jump_rate = float(j.rate)
             probs = np.array([p for p, _ in j.atoms])
             self.probs = probs / probs.sum()
-            eye = np.eye(self.d)
-            self.jump_factors = np.stack([eye + a for _, a in j.atoms])
+            self.marks = np.stack([a for _, a in j.atoms])
+            self.drift_exp = expm_family(self.dt * triplet.drift())
         else:
             self.jump_rate = 0.0
 
@@ -59,10 +67,17 @@ class _StepScheme:
         return self.drift_factor + (z @ self.gauss.T).reshape(n, self.d, self.d)
 
     def jump_plan(self, rng, n: int):
-        """[(path indices, atom indices)] rounds covering all jumps this step."""
+        """[(path indices, (m, d, d) factors)] rounds covering all jumps this step.
+
+        Round k gives each path with at least k jumps its k-th jump: an atom a
+        and an offset s, the next order statistic of the path's jump times in
+        the cell, with factor e^{-r gamma^0} (I + a) e^{r gamma^0}, r = dt - s.
+        Offsets are kept in units of dt.
+        """
         if self.jump_rate == 0.0:
             return []
         counts = rng.poisson(self.jump_rate * self.dt, n)
+        s = np.zeros(n)
         plan = []
         while True:
             act = np.flatnonzero(counts > 0)
@@ -72,7 +87,10 @@ class _StepScheme:
                 choice = rng.choice(len(self.probs), size=act.size, p=self.probs)
             else:
                 choice = np.zeros(act.size, dtype=int)
-            plan.append((act, choice))
+            u = rng.random(act.size)
+            s[act] += (1.0 - s[act]) * (1.0 - u ** (1.0 / counts[act]))
+            e = self.drift_exp(1.0 - s[act])
+            plan.append((act, np.eye(self.d) + np.linalg.solve(e, self.marks[choice] @ e)))
             counts[act] -= 1
         return plan
 
@@ -134,8 +152,8 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     record(0)
     for step in range(1, n_steps + 1):
         v = _rowvec_product(v, scheme.cont_factors(rng, n_paths))
-        for act, choice in scheme.jump_plan(rng, n_paths):
-            v[act] = _rowvec_product(v[act], scheme.jump_factors[choice])
+        for act, f in scheme.jump_plan(rng, n_paths):
+            v[act] = _rowvec_product(v[act], f)
         norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
         logs = logs + np.log(norms)
         v /= norms[..., None]
@@ -171,19 +189,11 @@ def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
     record(0)
     for step in range(1, n_steps + 1):
         mat = _rowvec_product(mat, scheme.cont_factors(rng, n_paths))
-        for act, choice in scheme.jump_plan(rng, n_paths):
-            mat[act] = _rowvec_product(mat[act], scheme.jump_factors[choice])
+        for act, f in scheme.jump_plan(rng, n_paths):
+            mat[act] = _rowvec_product(mat[act], f)
         if renormalize:
             scale = np.sqrt(np.einsum("pij,pij->p", mat, mat))
             logs = logs + np.log(scale)
             mat = mat / scale[:, None, None]
         record(step)
     return times, out_mats, out_logs
-
-
-def terminal_op_norm_logs(triplet: MatrixLevyTriplet, T: float, n_paths: int,
-                          seed, dt: float = 0.05) -> np.ndarray:
-    """log of the operator norm of X_T per path, (n_paths,)."""
-    _, mats, logs = evolve_matrices(triplet, T, n_paths, seed, [T], dt=dt)
-    sv = np.linalg.svd(mats[0], compute_uv=False)[:, 0]
-    return logs[0] + np.log(sv)

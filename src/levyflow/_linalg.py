@@ -7,22 +7,19 @@ L^(n,l) at position (j*d+m, l*d+n).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
-    "vec", "unvec", "op_norm", "fro_norm", "psd_factor", "log_abs_det",
-    "grid_indices",
+    "vec", "op_norm", "fro_norm", "psd_factor", "log_abs_det",
+    "grid_indices", "expm_family",
 ]
 
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of a d x d matrix."""
     return np.asarray(m).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape(d, d, order="F")
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -69,3 +66,24 @@ def grid_indices(grid: np.ndarray, times) -> np.ndarray:
     if off.any():
         raise ValueError(f"time {times[off][0]} is not a grid point")
     return k
+
+
+def expm_family(a: np.ndarray):
+    """r -> the (m, d, d) stack of expm(r_i * a) for m scalars 0 <= r_i <= 1.
+
+    Each call is one vectorized pass (scipy's ``expm`` loops over a stack in
+    Python): the degree-16 Taylor polynomial of r_i * a / 2^q, with q the
+    least integer giving ||a||_1 / 2^q <= 1/2 (truncation error below
+    1e-19), squared q times.  The scaled powers of ``a`` are computed once.
+    """
+    q = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(a, 1) + 1e-300))))
+    terms = np.stack([np.linalg.matrix_power(a / 2.0 ** q, k).ravel() / math.factorial(k)
+                      for k in range(17)])
+
+    def at(r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        e = (r[:, None] ** np.arange(17) @ terms).reshape(len(r), *a.shape)
+        for _ in range(q):
+            e = e @ e
+        return e
+    return at

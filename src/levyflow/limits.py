@@ -225,7 +225,8 @@ def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float,
     Derivatives at 0 come from central differences at 0.1 * max|s|.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    ell = _engine.terminal_op_norm_logs(triplet, float(n), n_paths, seed, dt=dt)
+    ell = _terminal_log_samples(triplet, FunctionalSpec.op_norm(), [float(n)],
+                                n_paths, seed, dt)[1][0]
     if not np.all(np.isfinite(ell)):
         raise DegenerateNorm("log ||X_n|| is not finite on some path")
 

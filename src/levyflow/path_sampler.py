@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
+from . import _engine
 from ._linalg import grid_indices, op_norm, psd_factor
 from .levy_model import DET_TOL, MatrixLevyTriplet
 
@@ -60,7 +61,6 @@ class LevyPath:
     grid: np.ndarray
     increments: np.ndarray
     jumps: tuple[tuple[float, np.ndarray], ...] = ()
-    seed: int | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -105,7 +105,8 @@ class ExpPath:
     At a grid point carrying jumps, ``X`` holds the post-jump value; the
     pre/post states around each individual jump factor are recorded in
     ``jump_pre``/``jump_post`` (aligned with ``jump_times``) so that marks can
-    be recovered exactly.  ``Xinv`` is computed on first use.
+    be recovered exactly.  Shapes, X[0] = I and jump times in (0, T] are
+    checked on construction; ``Xinv`` is computed on first use.
     """
 
     grid: np.ndarray
@@ -114,6 +115,17 @@ class ExpPath:
     jump_times: np.ndarray = field(default_factory=lambda: _EMPTY)
     jump_pre: np.ndarray = field(default_factory=lambda: _EMPTY3)
     jump_post: np.ndarray = field(default_factory=lambda: _EMPTY3)
+
+    def __post_init__(self):
+        n, d = len(self.grid), self.X.shape[-1]
+        if self.X.shape != (n, d, d) or not np.array_equal(self.X[0], np.eye(d)):
+            raise ValueError("X must have shape (len(grid), d, d) with X[0] = I")
+        k = len(self.jump_times)
+        if any(len(a) != k or (k and a.shape[1:] != (d, d))
+               for a in (self.jump_pre, self.jump_post)):
+            raise ValueError("jump_pre and jump_post must be (len(jump_times), d, d)")
+        if np.any(grid_indices(self.grid, self.jump_times) == 0):
+            raise ValueError("jump times must lie in (0, T]")
 
     @property
     def d(self) -> int:
@@ -240,8 +252,7 @@ def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> L
         # vec is column-stacked: flat index j*d+m <-> entry (m, j)
         inc = inc + bvec.reshape(-1, d, d).transpose(0, 2, 1)
 
-    stored_seed = int(seed) if isinstance(seed, (int, np.integer)) else None
-    return LevyPath(grid=grid, increments=inc, jumps=jumps, seed=stored_seed)
+    return LevyPath(grid=grid, increments=inc, jumps=jumps)
 
 
 def coarsen_path(path: LevyPath, factor: int) -> LevyPath:
@@ -265,7 +276,7 @@ def coarsen_path(path: LevyPath, factor: int) -> LevyPath:
     idx = np.flatnonzero(keep)
     grid = path.grid[idx]
     inc = np.add.reduceat(path.increments, idx[:-1], axis=0)
-    return LevyPath(grid=grid, increments=inc, jumps=path.jumps, seed=path.seed)
+    return LevyPath(grid=grid, increments=inc, jumps=path.jumps)
 
 
 def exact_cpp_exponential(path: LevyPath, triplet: MatrixLevyTriplet) -> ExpPath:
@@ -316,8 +327,7 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
         if np.any(~is_big[j + 1:] & (idx[j + 1:] == idx[j])):
             raise ValueError(f"a small jump follows a big jump at t={path.jumps[j][0]}")
     small = tuple(ta for ta, b in zip(path.jumps, is_big) if not b)
-    trunc = LevyPath(grid=path.grid, increments=path.increments,
-                     jumps=small, seed=path.seed)
+    trunc = LevyPath(grid=path.grid, increments=path.increments, jumps=small)
     if triplet is not None and not triplet.has_gaussian_part():
         X = exact_cpp_exponential(trunc, triplet).X
     else:
@@ -363,28 +373,22 @@ def stochastic_logarithm(exp_path: ExpPath) -> LevyPath:
             pre = exp_path.jump_pre[j]
             post = exp_path.jump_post[j]
             jumps.append((float(grid[c + 1]), _solve(pre, post - pre)))
-    return LevyPath(grid=grid, increments=increments, jumps=tuple(jumps), seed=None)
+    return LevyPath(grid=grid, increments=increments, jumps=tuple(jumps))
 
 
 def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> MeanCheckReport:
     """Monte Carlo test of E[X_t] = exp(t E[L_1]), componentwise z-scores.
 
-    Paths use independent child streams spawned from the master seed.  Exact
-    products are used when sigma = 0, otherwise the Emery scheme on a fine
-    grid (t/256).
+    One engine run of X_t over n_paths paths.  Its jump-adapted factors make
+    the mean exact at any step, so sigma = 0 takes one step of length t (the
+    samples are then exact products); otherwise steps of t/256 keep the
+    samples' spread, which sets the standard errors, close to that of X_t.
     """
     if t <= 0 or n_paths < 2:
         raise ValueError("need t > 0 and n_paths >= 2")
-    d = triplet.d
-    use_exact = not triplet.has_gaussian_part()
-    dt = t if use_exact else t / 256.0
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    samples = np.empty((n_paths, d, d))
-    for b, child in enumerate(children):
-        path = sample_levy_path(triplet, t, dt, child)
-        ep = (exact_cpp_exponential(path, triplet) if use_exact
-              else emery_exponential(path))
-        samples[b] = ep.X[-1]
+    dt = t / 256.0 if triplet.has_gaussian_part() else t
+    samples = _engine.evolve_matrices(triplet, t, n_paths, seed, [t], dt,
+                                      renormalize=False)[1][0]
     mc = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
     target = expm(t * triplet.mean_l1())

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 import levyflow as lf
 from levyflow import _engine
-from levyflow._linalg import psd_factor
+from levyflow._linalg import expm_family, psd_factor
 
 
 def _triplet(d, sigma, drift, jumps=lf.JumpSpec()) -> lf.MatrixLevyTriplet:
@@ -69,6 +69,15 @@ class TestContFactors:
         assert rng.bit_generator.state == before
 
 
+def _random_noncommuting_cpp() -> lf.MatrixLevyTriplet:
+    """A sigma = 0 triplet in d = 3 whose drift and atoms do not commute."""
+    rng = np.random.default_rng(12)
+    atoms = ((0.4, 0.5 * rng.standard_normal((3, 3))),
+             (0.6, 0.5 * rng.standard_normal((3, 3))))
+    return _triplet(3, np.zeros((9, 9)), 0.8 * rng.standard_normal((3, 3)),
+                    lf.JumpSpec(rate=1.5, atoms=atoms))
+
+
 class TestDrawOrder:
     def test_equal_seeds_consume_identical_draws(self):
         dt, n = 0.1, 300
@@ -76,27 +85,63 @@ class TestDrawOrder:
         rngs = [np.random.default_rng(11) for _ in range(2)]
         replay = np.random.default_rng(11)
         probs = np.array([0.25, 0.75])
+        marks = np.stack([a for _, a in TWO_ATOMS.atoms])
         for _ in range(5):
             factors = [s.cont_factors(r, n) for s, r in zip(schemes, rngs)]
             plans = [s.jump_plan(r, n) for s, r in zip(schemes, rngs)]
             np.testing.assert_array_equal(factors[0], factors[1])
-            assert len(plans[0]) == len(plans[1]) > 0
-            for (act0, ch0), (act1, ch1) in zip(*plans):
+            assert len(plans[0]) == len(plans[1]) > 1
+            for (act0, f0), (act1, f1) in zip(*plans):
                 np.testing.assert_array_equal(act0, act1)
-                np.testing.assert_array_equal(ch0, ch1)
-            # documented order: Gaussians, then jump counts, then atom choices
+                np.testing.assert_array_equal(f0, f1)
+            # documented order: Gaussians, then jump counts, then per round
+            # the atom choices and the offset uniforms
             z = replay.standard_normal((n, 4))
             np.testing.assert_allclose(factors[0], _unfolded_factors(MIXED, dt, z),
                                        rtol=1e-13, atol=1e-13)
             counts = replay.poisson(3.0 * dt, n)
-            for act, choice in plans[0]:
+            offset = np.zeros(n)
+            for act, f in plans[0]:
                 np.testing.assert_array_equal(act, np.flatnonzero(counts > 0))
-                np.testing.assert_array_equal(
-                    choice, replay.choice(2, size=act.size, p=probs))
+                choice = replay.choice(2, size=act.size, p=probs)
+                u = replay.random(act.size)
+                # the next order statistic of counts[act] uniforms on (offset, dt)
+                offset[act] += (dt - offset[act]) * (1.0 - u ** (1.0 / counts[act]))
+                r = (dt - offset[act])[:, None, None] * MIXED.drift()
+                np.testing.assert_allclose(f, expm(-r) @ (np.eye(2) + marks[choice]) @ expm(r),
+                                           rtol=1e-12, atol=1e-12)
                 counts[act] -= 1
             assert not np.any(counts)
             assert rngs[0].bit_generator.state == replay.bit_generator.state
             assert rngs[1].bit_generator.state == replay.bit_generator.state
+
+
+class TestJumpAdaptedMean:
+    """E[X_t] = expm(t E[L_1]) at coarse steps, where placing a cell's jumps
+    after its whole drift factor is first-order biased."""
+
+    @pytest.mark.parametrize("dt", [0.5, 0.25])
+    @pytest.mark.parametrize("triplet", [lf.builtin_triplet("rotation_rank1"),
+                                         _random_noncommuting_cpp(), MIXED],
+                             ids=["rotation_rank1", "random_cpp_d3", "mixed"])
+    def test_engine_mean_matches_closed_form(self, triplet, dt):
+        t, n = 1.0, 40000
+        _, mats, _ = _engine.evolve_matrices(triplet, t, n, 5, [t], dt, renormalize=False)
+        se = mats[0].std(axis=0, ddof=1) / np.sqrt(n)
+        z = (mats[0].mean(axis=0) - expm(t * triplet.mean_l1())) / se
+        assert np.all(se > 0)
+        assert np.max(np.abs(z)) <= 3.0
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 5.0, 40.0])
+def test_expm_family_matches_scipy(scale):
+    """Drift exponentials of the jump factors, with and without squarings."""
+    rng = np.random.default_rng(4)
+    for a in (scale * rng.standard_normal((3, 3)), scale * np.array([[0.0, 1.0], [0.0, 0.0]])):
+        r = np.r_[0.0, rng.random(20), 1.0]
+        expected = expm(r[:, None, None] * a)
+        np.testing.assert_allclose(expm_family(a)(r), expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
 
 
 class TestRowProducts:

@@ -281,6 +281,15 @@ def _log_jump_time(t):
     return lf.stochastic_logarithm(ep).jumps[0][0]
 
 
+def _log_jump_time_from_2i(t):
+    """As _log_jump_time on a path starting at X[0] = 2I, not I."""
+    start, post = 2.0 * np.eye(2), 3.0 * np.eye(2)
+    ep = lf.ExpPath(grid=np.array([0.0, 0.5, 1.0]), X=np.array([start, post, post]),
+                    method="hand", jump_times=np.array([t]),
+                    jump_pre=start[None], jump_post=post[None])
+    return lf.stochastic_logarithm(ep).jumps[0][0]
+
+
 CALLERS = [_jump_time, _snapshot_vectors, _snapshot_matrices, _log_jump_time]
 
 
@@ -291,6 +300,8 @@ CALLERS = [_jump_time, _snapshot_vectors, _snapshot_matrices, _log_jump_time]
     (_snapshot_vectors, 0.3, ValueError),
     (_snapshot_matrices, 0.3, ValueError),
     (_log_jump_time, 0.25, ValueError),
+    (_log_jump_time, 0.0, ValueError),
+    (_log_jump_time_from_2i, 0.5, ValueError),
     (_jump_time, np.nan, ValueError),
     (_snapshot_vectors, np.nan, ValueError),
     *[(c, 0.5 + 1e-11, 0.5) for c in CALLERS],
