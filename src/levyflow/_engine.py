@@ -15,10 +15,11 @@ vec(D @ B) = (I kron D) vec(B), so G' = Pi (I kron D) G, with Pi taking
 column-stacked to row-major order, gives F = D + (z @ G'.T).reshape(n, d, d)
 for standard normals z.  A product of (p, m, d) row vectors with per-path
 factors uses einsum for one row (m = 1) and stacked matmul for several, the
-faster of the two at each shape.  States are renormalized every step
-(Euclidean norm for vectors, Frobenius for matrices) with the log-scale
-accumulated separately, so long-horizon norm statistics are exact at snapshot
-times and never overflow.
+faster of the two at each shape.  One step loop serves both entry points,
+with one of three norm modes: evolve_vectors divides out each row's Euclidean
+norm every step, evolve_matrices each state's Frobenius norm, or nothing with
+renormalize=False.  The log-scale is accumulated separately, so long-horizon
+norm statistics are exact at snapshot times and never overflow.
 
 A single batched RNG stream with a fixed per-step draw order drives each run:
 Gaussians, then jump counts, then per jump round the atom choices and the
@@ -112,6 +113,40 @@ def _snapshot_indices(snapshot_times, n_steps: int, dt: float):
     return grid[idx], by_step
 
 
+def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
+    """The step loop: (times, states, logs) snapshots of (n_paths, m, d) row
+    vectors (a matrix is its d rows) and their accumulated log-scales.
+    ``norm`` is the einsum output subscript of the norm divided out each step:
+    "pm" one per row, "p" one Frobenius norm per path, None for none.  Callers
+    keep no name for ``states``, so that the first step frees the start buffer.
+    """
+    n_steps = max(1, int(round(T / dt)))
+    dt_eff = T / n_steps
+    times, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff)
+    scheme = _StepScheme(triplet, dt_eff)
+    rng = np.random.default_rng(seed)
+    n_paths = len(states)
+    out_states = np.empty((len(times),) + states.shape)
+    out_logs = np.empty((len(times),) + logs.shape)
+
+    def record(step):
+        for pos in by_step.get(step, ()):
+            out_states[pos] = states
+            out_logs[pos] = logs
+
+    record(0)
+    for step in range(1, n_steps + 1):
+        states = _rowvec_product(states, scheme.cont_factors(rng, n_paths))
+        for act, f in scheme.jump_plan(rng, n_paths):
+            states[act] = _rowvec_product(states[act], f)
+        if norm is not None:
+            norms = np.sqrt(np.einsum(f"pmi,pmi->{norm}", states, states))
+            logs = logs + np.log(norms)
+            states /= norms.reshape(norms.shape + (1,) * (3 - norms.ndim))
+        record(step)
+    return times, out_states, out_logs
+
+
 def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
                    seed, snapshot_times, dt: float = 0.05):
     """Evolve row vectors y -> y @ X_t for a batch of paths.
@@ -129,36 +164,11 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
         starts = np.broadcast_to(starts, (n_paths,) + starts.shape)
     if starts.shape[0] != n_paths:
         raise ValueError("per-path starts must have leading dimension n_paths")
-    _, m, d = starts.shape
-    n_steps = max(1, int(round(T / dt)))
-    dt_eff = T / n_steps
-    times, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff)
-    scheme = _StepScheme(triplet, dt_eff)
-    rng = np.random.default_rng(seed)
-
     v = starts.astype(float)
     norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
-    logs = np.log(norms)
-    v /= norms[..., None]
-
-    out_dirs = np.empty((len(times), n_paths, m, d))
-    out_logs = np.empty((len(times), n_paths, m))
-
-    def record(step):
-        for pos in by_step.get(step, ()):
-            out_dirs[pos] = v
-            out_logs[pos] = logs
-
-    record(0)
-    for step in range(1, n_steps + 1):
-        v = _rowvec_product(v, scheme.cont_factors(rng, n_paths))
-        for act, f in scheme.jump_plan(rng, n_paths):
-            v[act] = _rowvec_product(v[act], f)
-        norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
-        logs = logs + np.log(norms)
-        v /= norms[..., None]
-        record(step)
-    return times, out_dirs, out_logs
+    del v  # only the unit rows below stay alive during the loop
+    return _evolve(triplet, T, seed, snapshot_times, dt, starts / norms[..., None],
+                   np.log(norms), "pm")
 
 
 def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
@@ -169,31 +179,6 @@ def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
     ``renormalize`` the states are unit Frobenius norm and logs holds the
     accumulated log-scale (X_t = exp(logs) * mats), otherwise logs is zero.
     """
-    d = triplet.d
-    n_steps = max(1, int(round(T / dt)))
-    dt_eff = T / n_steps
-    times, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff)
-    scheme = _StepScheme(triplet, dt_eff)
-    rng = np.random.default_rng(seed)
-
-    mat = np.broadcast_to(np.eye(d), (n_paths, d, d)).copy()
-    logs = np.zeros(n_paths)
-    out_mats = np.empty((len(times), n_paths, d, d))
-    out_logs = np.empty((len(times), n_paths))
-
-    def record(step):
-        for pos in by_step.get(step, ()):
-            out_mats[pos] = mat
-            out_logs[pos] = logs
-
-    record(0)
-    for step in range(1, n_steps + 1):
-        mat = _rowvec_product(mat, scheme.cont_factors(rng, n_paths))
-        for act, f in scheme.jump_plan(rng, n_paths):
-            mat[act] = _rowvec_product(mat[act], f)
-        if renormalize:
-            scale = np.sqrt(np.einsum("pij,pij->p", mat, mat))
-            logs = logs + np.log(scale)
-            mat = mat / scale[:, None, None]
-        record(step)
-    return times, out_mats, out_logs
+    return _evolve(triplet, T, seed, snapshot_times, dt,
+                   np.tile(np.eye(triplet.d), (n_paths, 1, 1)), np.zeros(n_paths),
+                   "p" if renormalize else None)

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import metadata
 from pathlib import Path
 
@@ -35,12 +35,6 @@ __all__ = [
     "ConfigError", "ValidationError", "MixedKinds", "Scenario", "RunManifest",
     "run_scenario", "load_manifest", "emit_report", "main",
 ]
-
-EXPERIMENTS = (
-    "simulate", "determinant", "lyapunov", "clt", "berry_esseen",
-    "invariant_measure", "mixing", "ip_certify", "generator_check",
-    "mean_check",
-)
 
 _MISSING = object()
 
@@ -157,12 +151,29 @@ def _param(params: dict, key: str, kind, default=_MISSING):
     raise AssertionError(kind)
 
 
-def _functional(params: dict, default_kind: str = "op_norm") -> FunctionalSpec:
+def _direction(raw, where: str, d: int) -> np.ndarray:
+    """A length-d vector of finite nonzero norm, else a ConfigError at ``where``."""
+    try:
+        v = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (d,) or not 0.0 < np.linalg.norm(v) < np.inf:
+        raise ConfigError(where, f"expected a nonzero finite vector of length {d}")
+    return v
+
+
+def _index(raw, where: str, d: int) -> int:
+    """An integer entry index in [0, d), else a ConfigError at ``where``."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or not 0 <= raw < d:
+        raise ConfigError(where, f"expected an integer index in [0, {d})")
+    return raw
+
+
+def _functional(params: dict, d: int) -> FunctionalSpec:
+    """The F spec, op_norm when absent; vectors and indices checked against d."""
     spec = params.get("F")
     if spec is None:
-        if default_kind == "op_norm":
-            return FunctionalSpec.op_norm()
-        raise ConfigError("parameters.F", "this experiment requires an F spec")
+        return FunctionalSpec.op_norm()
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("parameters.F", "expected an object with a 'kind' key")
     kind = spec["kind"]
@@ -170,16 +181,15 @@ def _functional(params: dict, default_kind: str = "op_norm") -> FunctionalSpec:
         if kind == "op_norm":
             return FunctionalSpec.op_norm()
         if kind == "vector_norm":
-            return FunctionalSpec.vector_norm(np.asarray(spec["y"], dtype=float))
+            return FunctionalSpec.vector_norm(_direction(spec["y"], "parameters.F.y", d))
         if kind == "entry":
-            return FunctionalSpec.entry(int(spec["i"]), int(spec["j"]))
+            return FunctionalSpec.entry(_index(spec["i"], "parameters.F.i", d),
+                                        _index(spec["j"], "parameters.F.j", d))
         if kind == "abs_inner":
-            return FunctionalSpec.abs_inner(np.asarray(spec["y"], dtype=float),
-                                            np.asarray(spec["z"], dtype=float))
+            return FunctionalSpec.abs_inner(_direction(spec["y"], "parameters.F.y", d),
+                                            _direction(spec["z"], "parameters.F.z", d))
     except KeyError as exc:
         raise ConfigError(f"parameters.F.{exc.args[0]}", "missing key") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("parameters.F", str(exc)) from None
     raise ConfigError("parameters.F.kind", f"unknown functional kind {kind!r}")
 
 
@@ -187,9 +197,7 @@ def _holder_fn(params: dict, d: int) -> HolderFn:
     spec = params.get("f", {"kind": "coord_sq"})
     if not isinstance(spec, dict) or spec.get("kind") != "coord_sq":
         raise ConfigError("parameters.f", "supported kind: coord_sq (optional 'u' vector)")
-    u = np.asarray(spec.get("u", np.eye(d)[0]), dtype=float)
-    if u.shape != (d,):
-        raise ConfigError("parameters.f.u", f"expected a length-{d} vector")
+    u = _direction(spec.get("u", np.eye(d)[0]), "parameters.f.u", d)
     u = u / np.linalg.norm(u)
     return HolderFn(eval=lambda p: (u @ p.v) ** 2, gamma=1.0)
 
@@ -273,7 +281,7 @@ def _run_lyapunov(triplet, params, seed):
     T = _param(params, "T", float)
     n_paths = _param(params, "n_paths", int)
     dt = _param(params, "dt", float, default=0.05)
-    F = _functional(params)
+    F = _functional(params, triplet.d)
     lam, se = lyapunov_estimate(triplet, F, T, n_paths, seed, dt=dt)
     summary = {"lambda_hat": lam, "lambda_se": se, "T": T, "n_paths": n_paths}
     rows = [[lam, se, T, n_paths]]
@@ -284,7 +292,7 @@ def _run_clt(triplet, params, seed):
     T = _param(params, "T", float)
     n_paths = _param(params, "n_paths", int)
     dt = _param(params, "dt", float, default=0.05)
-    F = _functional(params)
+    F = _functional(params, triplet.d)
     rep = clt_diagnostic(triplet, F, T, n_paths, seed, dt=dt)
     summary = {
         "lambda_hat": rep.lambda_hat, "lambda_se": rep.lambda_se,
@@ -303,7 +311,7 @@ def _run_berry_esseen(triplet, params, seed):
     n_paths = _param(params, "n_paths", int)
     dt = _param(params, "dt", float, default=0.05)
     spec = params.get("F", {"kind": "vector_norm", "y": list(np.eye(triplet.d)[0])})
-    F = _functional({"F": spec})
+    F = _functional({"F": spec}, triplet.d)
     z_grid = params.get("z_grid")
     if z_grid is not None:
         z_grid = np.asarray(_param(params, "z_grid", list), dtype=float)
@@ -412,6 +420,7 @@ _RUNNERS = {
     "generator_check": _run_generator_check,
     "mean_check": _run_mean_check,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 # -- scenario plumbing ----------------------------------------------------------
@@ -522,12 +531,8 @@ def run_scenario(config_path, seed=None, out_dir=None, experiment=None) -> RunMa
         wall_clock_s=float(wall), summary=summary, files=(csv_name,),
         output_dir=str(out),
     )
-    (out / "manifest.json").write_text(json.dumps({
-        "scenario_hash": manifest.scenario_hash, "version": manifest.version,
-        "experiment": manifest.experiment, "seed": manifest.seed,
-        "wall_clock_s": manifest.wall_clock_s, "summary": manifest.summary,
-        "files": list(manifest.files), "output_dir": manifest.output_dir,
-    }, indent=2, sort_keys=True, default=str) + "\n")
+    (out / "manifest.json").write_text(
+        json.dumps(asdict(manifest), indent=2, sort_keys=True, default=str) + "\n")
     return manifest
 
 
@@ -539,12 +544,10 @@ def load_manifest(path) -> RunManifest:
     out = doc.get("output_dir", str(p.parent))
     if not Path(out).is_dir():
         out = str(p.parent)
-    return RunManifest(
-        scenario_hash=doc["scenario_hash"], version=doc["version"],
-        experiment=doc["experiment"], seed=int(doc["seed"]),
-        wall_clock_s=float(doc["wall_clock_s"]), summary=doc["summary"],
-        files=tuple(doc["files"]), output_dir=out,
-    )
+    doc = {f.name: doc[f.name] for f in fields(RunManifest) if f.name in doc}
+    return RunManifest(**{**doc, "seed": int(doc["seed"]),
+                          "wall_clock_s": float(doc["wall_clock_s"]),
+                          "files": tuple(doc["files"]), "output_dir": out})
 
 
 def emit_report(manifests: list) -> str:

@@ -147,27 +147,26 @@ def _terminal_log_samples(triplet, F: FunctionalSpec, ts, n_paths, seed, dt):
     """log F(X_t) samples at each requested time, one engine pass.
 
     Returns (times, samples (k, n_paths), dirs) where dirs is the (k, n_paths,
-    d) array of directions of y @ X_t for the vector kinds, else None.
+    d) array of directions of y @ X_t for the vector kinds, else None.  Raises
+    DegenerateNorm when the engine's log-scales or states are not finite.
     """
     ts = np.asarray(ts, dtype=float)
     if F.kind == "op_norm":
-        _, mats, logs = _engine.evolve_matrices(
+        _, states, logs = _engine.evolve_matrices(
             triplet, float(ts.max()), n_paths, seed, ts, dt=dt)
-        sv = np.linalg.svd(mats, compute_uv=False)[..., 0]
-        return ts, logs + np.log(sv), None
-    if F.kind == "vector_norm":
-        y = F.y
-        z = None
     else:
-        y, z = F.vectors(triplet.d)
-    _, dirs, logs = _engine.evolve_vectors(
-        triplet, y, float(ts.max()), n_paths, seed, ts, dt=dt)
-    dirs = dirs[:, :, 0, :]
-    logs = logs[:, :, 0]
+        y, z = (F.y, None) if F.kind == "vector_norm" else F.vectors(triplet.d)
+        _, states, logs = _engine.evolve_vectors(
+            triplet, y, float(ts.max()), n_paths, seed, ts, dt=dt)
+        states, logs = states[:, :, 0, :], logs[:, :, 0]
+    if not (np.all(np.isfinite(logs)) and np.all(np.isfinite(states))):
+        raise DegenerateNorm("log F(X_t) is not finite on some path")
+    if F.kind == "op_norm":
+        return ts, logs + np.log(np.linalg.svd(states, compute_uv=False)[..., 0]), None
     if F.kind == "vector_norm":
-        return ts, logs, dirs
-    overlap = np.abs(np.einsum("knd,d->kn", dirs, z))
-    return ts, logs + np.log(np.maximum(overlap, 1e-300)), dirs
+        return ts, logs, states
+    overlap = np.abs(np.einsum("knd,d->kn", states, z))
+    return ts, logs + np.log(np.maximum(overlap, 1e-300)), states
 
 
 def lyapunov_estimate(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
@@ -177,8 +176,6 @@ def lyapunov_estimate(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
         raise ValueError("growth-rate estimation needs an op_norm or vector_norm functional")
     _, samples, _ = _terminal_log_samples(triplet, F, [T], n_paths, seed, dt)
     s = samples[0]
-    if not np.all(np.isfinite(s)):
-        raise DegenerateNorm("log F(X_T) is not finite on some path")
     lam = float(s.mean() / T)
     se = float(s.std(ddof=1) / (T * np.sqrt(n_paths)))
     return lam, se
@@ -197,8 +194,6 @@ def clt_diagnostic(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
     """
     _, samples, _ = _terminal_log_samples(triplet, F, [T], n_paths, seed, dt)
     s = samples[0]
-    if not np.all(np.isfinite(s)):
-        raise DegenerateNorm("log F(X_T) is not finite on some path")
     var = float(s.var(ddof=1))
     lam = float(s.mean() / T)
     lam_se = float(s.std(ddof=1) / (T * np.sqrt(n_paths)))
@@ -227,8 +222,6 @@ def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float,
     s_grid = np.asarray(s_grid, dtype=float)
     ell = _terminal_log_samples(triplet, FunctionalSpec.op_norm(), [float(n)],
                                 n_paths, seed, dt)[1][0]
-    if not np.all(np.isfinite(ell)):
-        raise DegenerateNorm("log ||X_n|| is not finite on some path")
 
     def lam_and_se(s: float) -> tuple[float, float]:
         w = np.exp(s * ell)

@@ -81,6 +81,13 @@ class TestRunScenario:
         assert back.scenario_hash == man.scenario_hash
         assert back.summary.keys() == man.summary.keys()
 
+    def test_load_manifest_is_exact_and_ignores_unknown_keys(self, tmp_path):
+        man = cli.run_scenario(_simulate_config(tmp_path))
+        path = tmp_path / "out" / "manifest.json"
+        assert cli.load_manifest(path) == man
+        path.write_text(json.dumps({**json.loads(path.read_text()), "profile": {}}))
+        assert cli.load_manifest(path) == man
+
     def test_float_formatting_is_shortest_exact(self, tmp_path):
         doc = {
             "triplet": "rotation_rank1",
@@ -167,24 +174,31 @@ class TestMain:
         assert cli.main(["simulate", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err != ""
 
-    def test_generator_check_wrong_x_length_exit_two(self, tmp_path, capsys):
-        doc = {"triplet": "standard_brownian(2)", "experiment": "generator_check",
-               "parameters": {"h_grid": [0.01], "n_paths": 100, "seed": 1,
-                              "x": [1, 0, 0]},
+    @pytest.mark.parametrize("experiment, parameters, key", [
+        ("generator_check", {"h_grid": [0.01], "n_paths": 100, "x": [1, 0, 0]},
+         "parameters.x"),
+        ("invariant_measure", {"h": 0.2, "n_steps": 30, "burn_in": 10,
+                               "n_chains": 4, "seed": 3, "dt": -3}, "parameters.dt"),
+        ("lyapunov", {"T": 1.0, "n_paths": 10,
+                      "F": {"kind": "vector_norm", "y": [1, 0, 0]}}, "parameters.F.y"),
+        ("clt", {"T": 1.0, "n_paths": 10, "F": {"kind": "entry", "i": 5, "j": 0}},
+         "parameters.F.i"),
+        ("clt", {"T": 1.0, "n_paths": 10, "F": {"kind": "entry", "i": 0, "j": 0.5}},
+         "parameters.F.j"),
+        ("clt", {"T": 1.0, "n_paths": 10,
+                 "F": {"kind": "abs_inner", "y": [1, 0], "z": [0, 1, 0]}}, "parameters.F.z"),
+        ("mixing", {"t_grid": [0.5, 1.0], "n_paths": 10,
+                    "f": {"kind": "coord_sq", "u": [0, 0]}}, "parameters.f.u"),
+    ], ids=["generator_check_x", "invariant_measure_dt", "vector_norm_y",
+            "entry_index", "entry_fractional_index", "abs_inner_z", "mixing_zero_u"])
+    def test_bad_parameter_exit_two_names_key(self, tmp_path, capsys, experiment,
+                                              parameters, key):
+        doc = {"triplet": "standard_brownian(2)", "experiment": experiment,
+               "parameters": {"seed": 1, **parameters},
                "output_dir": str(tmp_path / "o")}
         cfg = _write_config(tmp_path, doc)
-        assert cli.main(["generator_check", "--config", str(cfg)]) == 2
-        assert "parameters.x" in capsys.readouterr().err
-
-    def test_invariant_measure_nonpositive_dt_exit_two(self, tmp_path, capsys):
-        doc = {"triplet": "standard_brownian(2)",
-               "experiment": "invariant_measure",
-               "parameters": {"h": 0.2, "n_steps": 30, "burn_in": 10,
-                              "n_chains": 4, "seed": 3, "dt": -3},
-               "output_dir": str(tmp_path / "o")}
-        cfg = _write_config(tmp_path, doc)
-        assert cli.main(["invariant_measure", "--config", str(cfg)]) == 2
-        assert "parameters.dt" in capsys.readouterr().err
+        assert cli.main([experiment, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = _simulate_config(tmp_path)

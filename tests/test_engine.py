@@ -144,6 +144,25 @@ def test_expm_family_matches_scipy(scale):
                                    atol=1e-12 * np.abs(expected).max())
 
 
+@pytest.mark.parametrize("triplet", [MIXED, lf.builtin_triplet("rotation_rank1"),
+                                     lf.builtin_triplet("gbm1(0.1, 0.2)")],
+                         ids=["mixed", "rotation_rank1", "gbm1"])
+def test_vectors_and_matrices_give_the_same_states(triplet):
+    """The d unit-vector rows, the renormalized states and the raw states are
+    one X_t at equal seeds: the noise does not depend on the states."""
+    d, n, times = triplet.d, 300, [0.0, 0.5, 2.0]
+    _, dirs, vlogs = _engine.evolve_vectors(triplet, np.eye(d), 2.0, n, 8, times)
+    _, mats, mlogs = _engine.evolve_matrices(triplet, 2.0, n, 8, times)
+    _, raw, zeros = _engine.evolve_matrices(triplet, 2.0, n, 8, times, renormalize=False)
+    frob = np.linalg.norm(raw, axis=(-2, -1))
+    # the t = 0 snapshot is the identity; every step divides out the norm
+    np.testing.assert_allclose(np.linalg.norm(mats[1:], axis=(-2, -1)), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, rtol=1e-14)
+    assert not np.any(zeros)
+    for x in (np.exp(vlogs)[..., None] * dirs, np.exp(mlogs)[..., None, None] * mats):
+        assert np.all(np.linalg.norm(x - raw, axis=(-2, -1)) <= 1e-12 * frob)
+
+
 class TestRowProducts:
     @pytest.mark.parametrize("triplet", [MIXED, GAUSSIAN_TRIPLETS["sb2_with_drift"]],
                              ids=["gaussian_and_jumps", "gaussian_only"])

@@ -106,6 +106,28 @@ class TestBerryEsseen:
         assert dists[-1] == dists.min()
 
 
+# mu = 800 at dt = 1: the drift factor e^800 overflows, so every state is
+# inf/nan after the first step
+OVERFLOW = lf.builtin_triplet("gbm1(800, 0.1)")
+E1 = lf.FunctionalSpec.vector_norm([1.0])
+OP = lf.FunctionalSpec.op_norm()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    lambda: lf.lyapunov_estimate(OVERFLOW, E1, 4.0, 50, 1, dt=1.0),
+    lambda: lf.lyapunov_estimate(OVERFLOW, OP, 4.0, 50, 1, dt=1.0),
+    lambda: lf.clt_diagnostic(OVERFLOW, E1, 4.0, 50, 1, dt=1.0),
+    lambda: lf.clt_diagnostic(OVERFLOW, OP, 4.0, 50, 1, dt=1.0),
+    lambda: lf.lambda_moment_function(OVERFLOW, [0.5, 1.0], 4.0, 50, 1, dt=1.0),
+    lambda: lf.berry_esseen_curve(OVERFLOW, E1, [2.0, 4.0], 50, seed=1, dt=1.0),
+], ids=["lyapunov_vector", "lyapunov_op_norm", "clt_vector", "clt_op_norm",
+        "moment_function", "berry_esseen"])
+def test_non_finite_engine_output_raises_degenerate_norm(call):
+    with pytest.raises(lf.DegenerateNorm, match="not finite"):
+        call()
+
+
 class TestMStatistics:
     def test_rotations_have_unit_m(self):
         gamma = np.array([[0.0, -1.0], [1.0, 0.0]])
