@@ -12,14 +12,9 @@ import math
 import numpy as np
 
 __all__ = [
-    "vec", "op_norm", "fro_norm", "psd_factor", "log_abs_det",
+    "op_norm", "fro_norm", "psd_factor", "log_abs_det",
     "grid_indices", "expm_family",
 ]
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization of a d x d matrix."""
-    return np.asarray(m).reshape(-1, order="F")
 
 
 def op_norm(a: np.ndarray) -> float:

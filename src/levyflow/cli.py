@@ -249,7 +249,7 @@ def _run_simulate(triplet, params, seed):
         ep = exact_cpp_exponential(path, triplet)
     else:
         raise ConfigError("parameters.method", "expected auto, emery, or exact")
-    rows = [[t, *x.ravel()] for t, x in zip(ep.grid, ep.X)]
+    rows = np.column_stack([ep.grid, ep.X.reshape(len(ep.grid), -1)])
     summary = {
         "T": T, "n_grid": len(ep.grid), "method": ep.method,
         "final_det": float(np.linalg.det(ep.X[-1])),
@@ -267,8 +267,7 @@ def _run_determinant(triplet, params, seed):
     err = np.abs(direct - closed[:, 1])
     ct = check_characteristics(triplet)
     member, failed = sl_membership(triplet)
-    rows = [[t, dc, dx, e] for t, dc, dx, e in
-            zip(closed[:, 0], closed[:, 1], direct, err)]
+    rows = np.column_stack([closed, direct, err])
     summary = {
         "sigma_D": ct.sigma_D, "gamma_D": ct.gamma_D, "growth_mean": ct.mean,
         "max_abs_err": float(err.max()), "sl_member": member,
@@ -317,7 +316,7 @@ def _run_berry_esseen(triplet, params, seed):
         z_grid = np.asarray(_param(params, "z_grid", list), dtype=float)
     rep = berry_esseen_curve(triplet, F, t_grid, n_paths, z_grid=z_grid,
                              seed=seed, dt=dt)
-    rows = [[t, dist, n] for t, dist, n in rep.rows]
+    rows = np.array(rep.rows, dtype=float)
     summary = {"slope": rep.slope, "intercept": rep.intercept,
                "lambda_hat": rep.lambda_hat, "sigma_hat": rep.sigma_hat}
     return summary, ["t", "sup_dist", "n_paths"], rows
@@ -358,7 +357,7 @@ def _run_mixing(triplet, params, seed):
         g = rng.standard_normal(d)
         starts.append(g / np.linalg.norm(g))
     rep = mixing_rate(triplet, f, starts, t_grid, n_paths, s_engine, dt=dt)
-    rows = [[t, s] for t, s in zip(rep.t_grid, rep.sup_diffs)]
+    rows = np.column_stack([rep.t_grid, rep.sup_diffs])
     summary = {"D_hat": rep.D_hat, "d_hat": rep.d_hat, "r2": rep.r2,
                "flagged_no_decay": rep.flagged_no_decay}
     return summary, ["t", "sup_diff"], rows
@@ -391,7 +390,7 @@ def _run_generator_check(triplet, params, seed):
     f = _gauss_bump(np.eye(d), width)
     rows_raw, a_val = generator_mc_check(triplet, f, x, h_grid, n_paths, seed,
                                          n_substeps=n_substeps)
-    rows = [list(r) for r in rows_raw]
+    rows = np.array(rows_raw, dtype=float)
     summary = {"generator_value": a_val,
                "max_abs_z": max(abs(r[3]) for r in rows_raw)}
     return summary, ["h", "quotient", "se", "z"], rows
@@ -402,8 +401,9 @@ def _run_mean_check(triplet, params, seed):
     n_paths = _param(params, "n_paths", int)
     rep = path_sampler.mean_check(triplet, t, n_paths, seed)
     d = triplet.d
-    rows = [[i + 1, j + 1, rep.mc_mean[i, j], rep.target[i, j], rep.z[i, j]]
-            for i in range(d) for j in range(d)]
+    i, j = np.divmod(np.arange(d * d), d)
+    rows = np.column_stack([i + 1, j + 1, rep.mc_mean.ravel(), rep.target.ravel(),
+                            rep.z.ravel()])
     summary = {"max_abs_z": rep.max_abs_z, "t": t, "n_paths": n_paths}
     return summary, ["i", "j", "mc_mean", "target", "z"], rows
 
@@ -538,16 +538,31 @@ def run_scenario(config_path, seed=None, out_dir=None, experiment=None) -> RunMa
 
 def load_manifest(path) -> RunManifest:
     """Read a manifest.json back; falls back to the file's own directory when
-    the recorded output_dir has moved."""
+    the recorded output_dir has moved.  A missing or malformed file, or a
+    missing or non-numeric field, raises ``ConfigError`` naming the file and
+    the field."""
     p = Path(path)
-    doc = json.loads(p.read_text())
+    try:
+        doc = json.loads(p.read_text())
+    except FileNotFoundError:
+        raise ConfigError(str(p), "manifest file not found") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(p), f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(str(p), "top level must be an object")
+    for f in fields(RunManifest):
+        if f.name not in doc and f.name != "output_dir":
+            raise ConfigError(f"{p}: {f.name}", "missing required key")
+    doc = {f.name: doc[f.name] for f in fields(RunManifest) if f.name in doc}
+    for key, kind in (("seed", int), ("wall_clock_s", float)):
+        try:
+            doc[key] = kind(doc[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{p}: {key}", f"expected {kind.__name__}") from None
     out = doc.get("output_dir", str(p.parent))
     if not Path(out).is_dir():
         out = str(p.parent)
-    doc = {f.name: doc[f.name] for f in fields(RunManifest) if f.name in doc}
-    return RunManifest(**{**doc, "seed": int(doc["seed"]),
-                          "wall_clock_s": float(doc["wall_clock_s"]),
-                          "files": tuple(doc["files"]), "output_dir": out})
+    return RunManifest(**{**doc, "files": tuple(doc["files"]), "output_dir": out})
 
 
 def emit_report(manifests: list) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import fro_norm, log_abs_det
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
-from .path_sampler import LevyPath, _marks_by_grid_index
+from .path_sampler import LevyPath
 
 __all__ = [
     "CheckTriplet", "check_characteristics", "det_closed_form",
@@ -92,13 +92,12 @@ def det_log_series(path: LevyPath, triplet: MatrixLevyTriplet):
     tr[1:] = np.cumsum(np.trace(path.increments, axis1=1, axis2=2))
     logabs = tr - 0.5 * s2 * path.grid
     sign = np.ones(n)
-    for idx, marks in _marks_by_grid_index(path).items():
-        for a in marks:
-            s, la = log_abs_det(eye + a)
-            if s == 0.0 or la <= np.log(DET_TOL):
-                raise SingularJump(f"jump at t={path.grid[idx]} makes det(I + dL) vanish")
-            logabs[idx:] += la
-            sign[idx:] *= s
+    for k, (_, a) in zip(path.jump_index.tolist(), path.jumps):
+        s, la = log_abs_det(eye + a)
+        if s == 0.0 or la <= np.log(DET_TOL):
+            raise SingularJump(f"jump at t={path.grid[k]} makes det(I + dL) vanish")
+        logabs[k:] += la
+        sign[k:] *= s
     return path.grid.copy(), logabs, sign
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from scipy import stats
 
 from . import _engine
-from ._linalg import op_norm
 from .levy_model import MatrixLevyTriplet
 from .path_sampler import ExpPath
 from .projective import EmpiricalMeasure, HolderFn, _eval_lines
@@ -85,15 +84,6 @@ class FunctionalSpec:
         if self.kind == "abs_inner":
             return self.y, self.z
         raise ValueError(f"kind {self.kind!r} has no (y, z) form")
-
-    def evaluate(self, a: np.ndarray) -> float:
-        a = np.asarray(a, dtype=float)
-        if self.kind == "op_norm":
-            return op_norm(a)
-        if self.kind == "vector_norm":
-            return float(np.linalg.norm(self.y @ a))
-        y, z = self.vectors(a.shape[0])
-        return float(abs((y @ a) @ z))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import _engine
-from ._linalg import grid_indices, op_norm, psd_factor
+from ._linalg import expm_family, grid_indices, op_norm, psd_factor
 from .levy_model import DET_TOL, MatrixLevyTriplet
 
 __all__ = [
@@ -53,14 +53,16 @@ class LevyPath:
     """Driving-process path: grid, per-cell continuous increments, jumps.
 
     ``grid`` is strictly increasing with grid[0] = 0; every jump time must be
-    a grid point.  ``increments[c]`` is the drift+Brownian part of the
-    increment over (grid[c], grid[c+1]].  ``jumps`` is time-sorted
-    (time, mark) with det(I + mark) != 0.
+    a grid point in (0, T].  ``increments[c]`` is the drift+Brownian part of
+    the increment over (grid[c], grid[c+1]].  ``jumps`` is time-sorted
+    (time, mark) with det(I + mark) != 0.  The read-only ``jump_index[k]``
+    is the grid index of jump k.
     """
 
     grid: np.ndarray
     increments: np.ndarray
     jumps: tuple[tuple[float, np.ndarray], ...] = ()
+    jump_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -77,7 +79,7 @@ class LevyPath:
         object.__setattr__(self, "increments", inc)
         jumps = tuple((float(t), np.asarray(a, dtype=float)) for t, a in self.jumps)
         object.__setattr__(self, "jumps", jumps)
-        _marks_by_grid_index(self)  # raises if a jump time is off-grid
+        _set_jump_index(self, [t for t, _ in jumps])
 
     @property
     def d(self) -> int:
@@ -92,9 +94,8 @@ class LevyPath:
         n = len(self.grid)
         vals = np.zeros((n, self.d, self.d))
         vals[1:] = np.cumsum(self.increments, axis=0)
-        for idx, marks in _marks_by_grid_index(self).items():
-            for a in marks:
-                vals[idx:] += a
+        for k, (_, a) in zip(self.jump_index.tolist(), self.jumps):
+            vals[k:] += a
         return vals
 
 
@@ -105,8 +106,9 @@ class ExpPath:
     At a grid point carrying jumps, ``X`` holds the post-jump value; the
     pre/post states around each individual jump factor are recorded in
     ``jump_pre``/``jump_post`` (aligned with ``jump_times``) so that marks can
-    be recovered exactly.  Shapes, X[0] = I and jump times in (0, T] are
-    checked on construction; ``Xinv`` is computed on first use.
+    be recovered exactly.  Shapes, X[0] = I and time-sorted jump times in
+    (0, T] are checked on construction; ``jump_index`` holds their grid
+    indices and ``Xinv`` is computed on first use.
     """
 
     grid: np.ndarray
@@ -115,6 +117,7 @@ class ExpPath:
     jump_times: np.ndarray = field(default_factory=lambda: _EMPTY)
     jump_pre: np.ndarray = field(default_factory=lambda: _EMPTY3)
     jump_post: np.ndarray = field(default_factory=lambda: _EMPTY3)
+    jump_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, d = len(self.grid), self.X.shape[-1]
@@ -124,8 +127,7 @@ class ExpPath:
         if any(len(a) != k or (k and a.shape[1:] != (d, d))
                for a in (self.jump_pre, self.jump_post)):
             raise ValueError("jump_pre and jump_post must be (len(jump_times), d, d)")
-        if np.any(grid_indices(self.grid, self.jump_times) == 0):
-            raise ValueError("jump times must lie in (0, T]")
+        _set_jump_index(self, self.jump_times)
 
     @property
     def d(self) -> int:
@@ -162,15 +164,16 @@ class MeanCheckReport:
 
 # -- helpers ------------------------------------------------------------------
 
-def _marks_by_grid_index(path: LevyPath) -> dict[int, list[np.ndarray]]:
-    """Map grid index -> marks applied at that grid point, preserving order."""
-    out: dict[int, list[np.ndarray]] = {}
-    idx = grid_indices(path.grid, [t for t, _ in path.jumps])
-    for k, (_, a) in zip(idx.tolist(), path.jumps):
-        if k == 0:
-            raise ValueError("jump times must lie in (0, T]")
-        out.setdefault(k, []).append(a)
-    return out
+def _set_jump_index(path: LevyPath | ExpPath, times) -> None:
+    """Set ``path.jump_index``, the grid index of each jump time; the times
+    must be grid points in (0, T] and in time order (``ValueError``)."""
+    idx = grid_indices(path.grid, times)
+    if np.any(idx == 0):
+        raise ValueError("jump times must lie in (0, T]")
+    if np.any(np.diff(np.asarray(times, dtype=float)) < 0):
+        raise ValueError("jumps must be in time order")
+    idx.setflags(write=False)
+    object.__setattr__(path, "jump_index", idx)
 
 
 def _walk(path: LevyPath, cell_factors, method: str,
@@ -179,33 +182,29 @@ def _walk(path: LevyPath, cell_factors, method: str,
     n = len(path.grid)
     d = path.d
     eye = np.eye(d)
-    marks = _marks_by_grid_index(path)
+    idx = path.jump_index
+    # the jumps at grid point c + 1 are bounds[c] .. bounds[c + 1] - 1
+    bounds = np.searchsorted(idx, np.arange(1, n + 1)).tolist()
     X = np.empty((n, d, d))
     X[0] = eye
-    jt: list[float] = []
-    jpre: list[np.ndarray] = []
-    jpost: list[np.ndarray] = []
+    jump_pre = np.empty((len(idx), d, d))
+    jump_post = np.empty((len(idx), d, d))
     cur = X[0]
     for c in range(n - 1):
         f = cell_factors[c]
         if check_dets and abs(np.linalg.det(f)) <= DET_TOL:
             raise SingularFactor(f"cell {c}: |det(I + increment)| <= {DET_TOL}")
         cur = cur @ f
-        for a in marks.get(c + 1, []):
-            g = eye + a
+        for j in range(bounds[c], bounds[c + 1]):
+            g = eye + path.jumps[j][1]
             if abs(np.linalg.det(g)) <= DET_TOL:
                 raise SingularFactor(f"jump at t={path.grid[c + 1]}: det(I + mark) vanishes")
-            jt.append(float(path.grid[c + 1]))
-            jpre.append(cur)
+            jump_pre[j] = cur
             cur = cur @ g
-            jpost.append(cur)
+            jump_post[j] = cur
         X[c + 1] = cur
-    return ExpPath(
-        grid=path.grid, X=X, method=method,
-        jump_times=np.array(jt),
-        jump_pre=np.array(jpre) if jpre else np.empty((0, d, d)),
-        jump_post=np.array(jpost) if jpost else np.empty((0, d, d)),
-    )
+    return ExpPath(grid=path.grid, X=X, method=method, jump_times=path.grid[idx],
+                   jump_pre=jump_pre, jump_post=jump_post)
 
 
 # -- operations ----------------------------------------------------------------
@@ -261,18 +260,13 @@ def coarsen_path(path: LevyPath, factor: int) -> LevyPath:
     underlying noise (common-random-number coupling across step sizes)."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    keep = np.zeros(len(path.grid), dtype=bool)
+    # keep jump points and every factor-th point of the original uniform layout
+    is_jump = np.zeros(len(path.grid), dtype=bool)
+    is_jump[path.jump_index] = True
+    uniform = ~is_jump
+    uniform[0] = False
+    keep = is_jump | (uniform & (np.cumsum(uniform) % factor == 0))
     keep[0] = keep[-1] = True
-    # keep jump times and every factor-th point of the original uniform layout
-    jump_set = {t for t, _ in path.jumps}
-    count = 0
-    for i, t in enumerate(path.grid):
-        if t in jump_set:
-            keep[i] = True
-        elif i > 0:
-            count += 1
-            if count % factor == 0:
-                keep[i] = True
     idx = np.flatnonzero(keep)
     grid = path.grid[idx]
     inc = np.add.reduceat(path.increments, idx[:-1], axis=0)
@@ -287,7 +281,9 @@ def exact_cpp_exponential(path: LevyPath, triplet: MatrixLevyTriplet) -> ExpPath
     """
     if triplet.has_gaussian_part():
         raise HasGaussianPart("exact product requires a triplet with sigma = 0")
-    factors = expm(np.diff(path.grid)[:, None, None] * triplet.drift())
+    lens = np.diff(path.grid)
+    h = lens.max()
+    factors = expm_family(h * triplet.drift())(lens / h)
     return _walk(path, factors, "exact_cpp")
 
 
@@ -322,10 +318,11 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
     the Emery product.
     """
     is_big = np.array([op_norm(a) >= eps for _, a in path.jumps], dtype=bool)
-    idx = grid_indices(path.grid, [t for t, _ in path.jumps])
-    for j in np.flatnonzero(is_big):
-        if np.any(~is_big[j + 1:] & (idx[j + 1:] == idx[j])):
-            raise ValueError(f"a small jump follows a big jump at t={path.jumps[j][0]}")
+    idx = path.jump_index
+    follows = is_big[:-1] & ~is_big[1:] & (idx[:-1] == idx[1:])
+    if follows.any():
+        raise ValueError("a small jump follows a big jump at "
+                         f"t={path.grid[idx[np.argmax(follows)]]}")
     small = tuple(ta for ta, b in zip(path.jumps, is_big) if not b)
     trunc = LevyPath(grid=path.grid, increments=path.increments, jumps=small)
     if triplet is not None and not triplet.has_gaussian_part():
@@ -333,8 +330,7 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
     else:
         X = emery_exponential(trunc).X
 
-    big = sorted(((k, a) for k, (_, a), b in zip(idx.tolist(), path.jumps, is_big) if b),
-                 key=lambda ka: ka[0])
+    big = [(k, a) for k, (_, a), b in zip(idx.tolist(), path.jumps, is_big) if b]
     ends = [k for k, _ in big] + [len(path.grid) - 1]
     total = np.linalg.solve(X[0], X[ends[0]])
     for (k, a), end in zip(big, ends[1:]):
@@ -345,35 +341,21 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
 def stochastic_logarithm(exp_path: ExpPath) -> LevyPath:
     """Recover the driving path: increment over a cell is X_{t-}^{-1} dX, and
     each recorded jump yields its mark exactly as X_{tau-}^{-1} (X_tau - X_tau-)."""
-    grid = exp_path.grid
-    X = exp_path.X
-    n = len(grid)
-    d = exp_path.d
-
-    jump_at: dict[int, list[int]] = {}
-    for j, k in enumerate(grid_indices(grid, exp_path.jump_times).tolist()):
-        jump_at.setdefault(k, []).append(j)
-
-    def _solve(mat, rhs):
-        try:
-            out = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            raise SingularState("state X_t is singular; cannot invert") from None
-        if not np.all(np.isfinite(out)):
-            raise SingularState("state X_t is numerically singular")
-        return out
-
-    increments = np.empty((n - 1, d, d))
-    jumps: list[tuple[float, np.ndarray]] = []
-    for c in range(n - 1):
-        js = jump_at.get(c + 1, [])
-        end_pre = exp_path.jump_pre[js[0]] if js else X[c + 1]
-        increments[c] = _solve(X[c], end_pre - X[c])
-        for j in js:
-            pre = exp_path.jump_pre[j]
-            post = exp_path.jump_post[j]
-            jumps.append((float(grid[c + 1]), _solve(pre, post - pre)))
-    return LevyPath(grid=grid, increments=increments, jumps=tuple(jumps))
+    grid, X = exp_path.grid, exp_path.X
+    pre, post = exp_path.jump_pre, exp_path.jump_post
+    # a cell ends at the state before the first jump at its end point
+    cells, first = np.unique(exp_path.jump_index, return_index=True)
+    end = X[1:].copy()
+    end[cells - 1] = pre[first]
+    try:
+        increments = np.linalg.solve(X[:-1], end - X[:-1])
+        marks = np.linalg.solve(pre, post - pre)
+    except np.linalg.LinAlgError:
+        raise SingularState("state X_t is singular; cannot invert") from None
+    if not (np.all(np.isfinite(increments)) and np.all(np.isfinite(marks))):
+        raise SingularState("state X_t is numerically singular")
+    times = grid[exp_path.jump_index].tolist()
+    return LevyPath(grid=grid, increments=increments, jumps=tuple(zip(times, marks)))
 
 
 def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> MeanCheckReport:

@@ -116,7 +116,6 @@ class HolderFn:
 
     eval: Callable[[ProjPoint], np.ndarray | float]
     gamma: float = 1.0
-    seminorm_bound: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):

@@ -272,6 +272,21 @@ class TestReport:
                          str(tmp_path / "be" / "manifest.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"scenario_hash": "x"}', "version"),
+        ('[1, 2]', "manifest.json"),
+        (None, "manifest.json"),
+        ('{"scenario_hash": ', "manifest.json"),
+        ('{"scenario_hash": "x", "version": "1", "experiment": "simulate", "seed": "abc",'
+         ' "wall_clock_s": 1.0, "summary": {}, "files": []}', "seed"),
+    ], ids=["missing_key", "json_list", "missing_file", "invalid_json", "non_numeric_seed"])
+    def test_bad_manifest_exit_two(self, tmp_path, capsys, text, named):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["report", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestExperimentRunners:
     """One fast end-to-end run for each runner not exercised elsewhere."""

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 import levyflow as lf
 from levyflow import _engine
+from levyflow._linalg import grid_indices
 
 ROT = lf.builtin_triplet("rotation_rank1")
 SB2 = lf.builtin_triplet("standard_brownian(2)")
@@ -57,6 +58,28 @@ class TestSampling:
             lf.LevyPath(grid=[0.0, 1.0], increments=np.zeros((1, 2, 2)),
                         jumps=((0.5, np.eye(2)),))
 
+    def test_jump_index_is_resolved_once_and_read_only(self):
+        path = lf.sample_levy_path(ROT, T=3.0, dt=0.25, seed=11)
+        assert len(path.jumps) > 0
+        times = [t for t, _ in path.jumps]
+        np.testing.assert_array_equal(path.jump_index, grid_indices(path.grid, times))
+        with pytest.raises(ValueError):
+            path.jump_index[0] = 0
+        ep = lf.exact_cpp_exponential(path, ROT)
+        np.testing.assert_array_equal(ep.jump_index, path.jump_index)
+        assert not ep.jump_index.flags.writeable
+
+    def test_jumps_out_of_time_order_rejected(self):
+        a = 0.5 * np.eye(2)
+        with pytest.raises(ValueError, match="time order"):
+            lf.LevyPath(grid=[0.0, 0.5, 1.0], increments=np.zeros((2, 2, 2)),
+                        jumps=((1.0, a), (0.5, a)))
+        eye, post = np.eye(2), 1.5 * np.eye(2)
+        with pytest.raises(ValueError, match="time order"):
+            lf.ExpPath(grid=np.array([0.0, 0.5, 1.0]), X=np.array([eye, post, post]),
+                       method="hand", jump_times=np.array([1.0, 0.5]),
+                       jump_pre=np.array([eye, eye]), jump_post=np.array([post, post]))
+
 
 class TestCoarsen:
     def test_totals_and_jumps_preserved(self):
@@ -75,6 +98,17 @@ class TestCoarsen:
         xf = lf.exact_cpp_exponential(fine, ROT).X[-1]
         xc = lf.exact_cpp_exponential(coarse, ROT).X[-1]
         np.testing.assert_allclose(xc, xf, atol=1e-12)
+
+    def test_keeps_jump_point_within_grid_tolerance(self):
+        # the jump time is 1e-11 off the grid point 0.375, inside the
+        # tolerance of the time -> grid-index map; jump points are not
+        # counted among the uniform points, of which every 4th is kept
+        a = 0.5 * np.eye(2)
+        path = lf.LevyPath(grid=np.linspace(0.0, 1.0, 9), increments=np.zeros((8, 2, 2)),
+                           jumps=((0.375 + 1e-11, a),))
+        coarse = lf.coarsen_path(path, 4)
+        np.testing.assert_array_equal(coarse.grid, [0.0, 0.375, 0.625, 1.0])
+        np.testing.assert_array_equal(coarse.jump_index, [1])
 
 
 class TestExponentials:
@@ -161,6 +195,38 @@ class TestStochasticLogarithm:
         ep = lf.emery_exponential(path)
         back = lf.emery_exponential(lf.stochastic_logarithm(ep))
         np.testing.assert_allclose(back.X, ep.X, atol=1e-9)
+
+    def test_two_jumps_at_one_point_and_a_jump_at_T(self):
+        rng = np.random.default_rng(4)
+        a, b, c = (0.3 * rng.standard_normal((2, 2)) for _ in range(3))
+        path = lf.LevyPath(grid=np.linspace(0.0, 1.0, 5),
+                           increments=0.1 * rng.standard_normal((4, 2, 2)),
+                           jumps=((0.5, a), (0.5, b), (1.0, c)))
+        ep = lf.emery_exponential(path)
+        rec = lf.stochastic_logarithm(ep)
+        np.testing.assert_array_equal(rec.jump_index, [2, 2, 4])
+        np.testing.assert_allclose(rec.increments, path.increments, atol=1e-12)
+        # the batched solves equal the same solves done one cell at a time
+        for cell in range(4):
+            at_end = np.flatnonzero(ep.jump_index == cell + 1)
+            end = ep.jump_pre[at_end[0]] if len(at_end) else ep.X[cell + 1]
+            np.testing.assert_array_equal(rec.increments[cell],
+                                          np.linalg.solve(ep.X[cell], end - ep.X[cell]))
+        for (t1, m1), (t2, m2) in zip(rec.jumps, path.jumps):
+            assert t1 == t2
+            np.testing.assert_allclose(m1, m2, atol=1e-12)
+        back = lf.emery_exponential(rec)
+        np.testing.assert_allclose(back.X, ep.X, atol=1e-12)
+        np.testing.assert_allclose(back.jump_pre, ep.jump_pre, atol=1e-12)
+        np.testing.assert_allclose(back.jump_post, ep.jump_post, atol=1e-12)
+
+    @pytest.mark.parametrize("state", [np.ones((2, 2)), np.array([[1.0, 0.0], [0.0, 1e-320]])])
+    def test_singular_state_raises(self, state):
+        eye = np.eye(2)
+        ep = lf.ExpPath(grid=np.array([0.0, 0.5, 1.0]), X=np.array([eye, state, eye]),
+                        method="hand")
+        with pytest.raises(lf.SingularState):
+            lf.stochastic_logarithm(ep)
 
 
 class TestSkorokhodReconstruct:
