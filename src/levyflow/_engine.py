@@ -35,6 +35,10 @@ from ._linalg import expm_family, grid_indices, psd_factor
 from .levy_model import MatrixLevyTriplet
 
 
+class DegenerateNorm(ArithmeticError):
+    """A norm statistic vanished, lost all fluctuation, or is not finite."""
+
+
 class _StepScheme:
     """Per-step factor generator for one (triplet, dt) pair."""
 
@@ -119,6 +123,7 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
     ``norm`` is the einsum output subscript of the norm divided out each step:
     "pm" one per row, "p" one Frobenius norm per path, None for none.  Callers
     keep no name for ``states``, so that the first step frees the start buffer.
+    A snapshot that is not finite raises DegenerateNorm.
     """
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
@@ -144,6 +149,8 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
             logs = logs + np.log(norms)
             states /= norms.reshape(norms.shape + (1,) * (3 - norms.ndim))
         record(step)
+    if not (np.all(np.isfinite(out_states)) and np.all(np.isfinite(out_logs))):
+        raise DegenerateNorm("engine state is not finite on some path")
     return times, out_states, out_logs
 
 

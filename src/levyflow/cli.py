@@ -11,7 +11,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -211,7 +210,7 @@ def _gauss_bump(center: np.ndarray, width: float) -> SmoothFunction:
 
     def value(x):
         y = x - c
-        return float(math.exp(-np.sum(y * y) / (2.0 * w2)))
+        return np.exp(-np.sum(y * y, axis=(-2, -1)) / (2.0 * w2))
 
     def grad(x):
         y = x - c
@@ -539,8 +538,8 @@ def run_scenario(config_path, seed=None, out_dir=None, experiment=None) -> RunMa
 def load_manifest(path) -> RunManifest:
     """Read a manifest.json back; falls back to the file's own directory when
     the recorded output_dir has moved.  A missing or malformed file, or a
-    missing or non-numeric field, raises ``ConfigError`` naming the file and
-    the field."""
+    missing or wrongly typed field, raises ``ConfigError`` naming the file
+    and the field."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
@@ -554,11 +553,13 @@ def load_manifest(path) -> RunManifest:
         if f.name not in doc and f.name != "output_dir":
             raise ConfigError(f"{p}: {f.name}", "missing required key")
     doc = {f.name: doc[f.name] for f in fields(RunManifest) if f.name in doc}
-    for key, kind in (("seed", int), ("wall_clock_s", float)):
-        try:
-            doc[key] = kind(doc[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{p}: {key}", f"expected {kind.__name__}") from None
+    for key, kind in (("scenario_hash", str), ("version", str), ("experiment", str),
+                      ("seed", int), ("wall_clock_s", (int, float)), ("summary", dict),
+                      ("files", list)):
+        if not isinstance(doc[key], kind):
+            raise ConfigError(f"{p}: {key}", f"wrong type ({type(doc[key]).__name__})")
+    if not all(isinstance(name, str) for name in doc["files"]):
+        raise ConfigError(f"{p}: files", "expected a list of file names")
     out = doc.get("output_dir", str(p.parent))
     if not Path(out).is_dir():
         out = str(p.parent)

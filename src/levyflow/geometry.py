@@ -41,11 +41,13 @@ class InconsistentDerivatives(ValueError):
 class SmoothFunction:
     """Twice-differentiable test function of a d x d matrix state.
 
+    ``value`` takes a stack of matrices (shape (..., d, d)) and returns their
+    values, shape (...).  ``grad`` and ``hess`` take one matrix x:
     ``grad(x)[i, j]`` is df/dx_{ij}; ``hess(x)[i, j, k, l]`` is
     d^2 f / dx_{ij} dx_{kl}.
     """
 
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
 
@@ -289,29 +291,23 @@ def _spot_check_derivatives(f: SmoothFunction, x: np.ndarray):
     scale = max(1.0, fro_norm(x))
     g = np.asarray(f.grad(x), dtype=float)
     h1 = 1e-5 * scale
-    fd = np.empty_like(x)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros_like(x)
-            e[i, j] = h1
-            fd[i, j] = (f.value(x + e) - f.value(x - e)) / (2.0 * h1)
+    e = h1 * np.eye(d * d).reshape(d * d, d, d)  # e[i * d + j] = h1 at (i, j)
+    fd = ((f.value(x + e) - f.value(x - e)) / (2.0 * h1)).reshape(d, d)
     tol = 1e-4 * max(1.0, fro_norm(g), fro_norm(fd))
     if fro_norm(fd - g) > tol:
         raise InconsistentDerivatives(
             f"gradient disagrees with finite differences by {fro_norm(fd - g):.3e}")
 
     hess = np.asarray(f.hess(x), dtype=float)
-    rng = np.random.default_rng(12345)
     h2 = 1e-3 * scale
-    f0 = f.value(x)
-    for _ in range(3):
-        v = rng.standard_normal(x.shape)
-        v = v / fro_norm(v)
-        quad = float(np.einsum("ij,ijkl,kl->", v, hess, v))
-        fd2 = (f.value(x + h2 * v) - 2.0 * f0 + f.value(x - h2 * v)) / (h2 * h2)
-        if abs(fd2 - quad) > 1e-4 * max(1.0, abs(quad), abs(fd2)):
+    v = np.random.default_rng(12345).standard_normal((3, d, d))
+    v = v / np.linalg.norm(v, axis=(1, 2), keepdims=True)
+    quad = np.einsum("nij,ijkl,nkl->n", v, hess, v)
+    fd2 = (f.value(x + h2 * v) - 2.0 * f.value(x) + f.value(x - h2 * v)) / (h2 * h2)
+    for q, f2 in zip(quad, fd2):
+        if abs(f2 - q) > 1e-4 * max(1.0, abs(q), abs(f2)):
             raise InconsistentDerivatives(
-                f"Hessian disagrees with finite differences: {quad:.6g} vs {fd2:.6g}")
+                f"Hessian disagrees with finite differences: {q:.6g} vs {f2:.6g}")
 
 
 def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
@@ -322,16 +318,21 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
     (1{||x a_i||_F <= 1} - 1{||a_i||_F <= 1}); diffusion Q(x)^{(i,j,k,l)} =
     sum_{m,n} x^{(i,m)} sigma_{(m,j),(n,l)} x^{(k,n)}; jumps move x to
     x + x a_i with the small-jump gradient compensation under ||.||_F <= 1.
+    The atoms are one (k, d, d) stack, so f.value is called once on all of
+    the post-jump states.
     """
     x = np.asarray(x, dtype=float)
     d = triplet.d
     _spot_check_derivatives(f, x)
     g = np.asarray(f.grad(x), dtype=float)
 
-    ell = x @ triplet.gamma
-    for r, a in triplet.jumps.atom_rates():
-        xa = x @ a
-        ell = ell + r * xa * (float(fro_norm(xa) <= 1.0) - float(fro_norm(a) <= 1.0))
+    rates = np.array([r for r, _ in triplet.jumps.atom_rates()])
+    marks = np.array([a for _, a in triplet.jumps.atoms]).reshape(-1, d, d)
+    xa = x @ marks
+    small = np.linalg.norm(xa, axis=(1, 2)) <= 1.0
+    compensated = np.linalg.norm(marks, axis=(1, 2)) <= 1.0
+    weights = rates * (small.astype(float) - compensated)
+    ell = x @ triplet.gamma + np.einsum("k,kij->ij", weights, xa)
     total = float(np.einsum("ij,ij->", ell, g))
 
     if triplet.has_gaussian_part():
@@ -340,14 +341,8 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
         q = np.einsum("im,jmln,kn->ijkl", x, sigma4, x)
         total += 0.5 * float(np.einsum("ijkl,ijkl->", q, hess))
 
-    fx = f.value(x)
-    for r, a in triplet.jumps.atom_rates():
-        xa = x @ a
-        term = f.value(x + xa) - fx
-        if fro_norm(xa) <= 1.0:
-            term -= float(np.einsum("ij,ij->", xa, g))
-        total += r * term
-    return total
+    jump = f.value(x + xa) - f.value(x) - small * np.einsum("kij,ij->k", xa, g)
+    return total + float(rates @ jump)
 
 
 def generator_mc_check(triplet: MatrixLevyTriplet, f: SmoothFunction,
@@ -369,7 +364,7 @@ def generator_mc_check(triplet: MatrixLevyTriplet, f: SmoothFunction,
         _, mats, _ = _engine.evolve_matrices(
             triplet, float(h), n_paths, child, [float(h)],
             dt=float(h) / n_substeps, renormalize=False)
-        vals = np.array([f.value(x @ m) for m in mats[0]])
+        vals = f.value(x @ mats[0])
         q = (vals.mean() - fx) / h
         se = float(vals.std(ddof=1) / (h * np.sqrt(n_paths)))
         # deterministic dynamics: rounding noise in identical samples is not

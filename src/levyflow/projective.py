@@ -149,28 +149,31 @@ def _as_unit(p) -> np.ndarray:
     return p.v if isinstance(p, ProjPoint) else canonical_unit(p)
 
 
+def _sine(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sqrt(1 - <u, w>^2) along the last axis of unit vectors u and w."""
+    c = np.einsum("...i,...i->...", u, w)
+    return np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
+
+
 def angular_distance(a, b) -> float:
     """|sin(angle between the lines)| = sqrt(1 - <a, b>^2); a metric on
     projective space with values in [0, 1]."""
-    u = _as_unit(a)
-    w = _as_unit(b)
-    c = float(np.dot(u, w))
-    return math.sqrt(max(0.0, 1.0 - min(1.0, c * c)))
+    return float(_sine(_as_unit(a), _as_unit(b)))
 
 
 def project_chain(exp_path: ExpPath, y0):
     """Directions and radial cocycle of Y_t = y0 @ X_t along a path.
 
-    Returns (points, lognorms): points[k] is the canonical direction at grid
-    time t_k and lognorms[k] = log ||y0 @ X_{t_k}||.
+    Returns (points, lognorms): points is one ProjPoint whose line k
+    (``points.v[:, k]``) is the direction at grid time t_k, and lognorms[k] =
+    log ||y0 @ X_{t_k}||.
     """
     y = _as_unit(y0)
     w = np.einsum("i,tij->tj", y, exp_path.X)
     norms = np.linalg.norm(w, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("one-point motion hit the origin")
-    points = [ProjPoint(row) for row in w]
-    return points, np.log(norms)
+    return ProjPoint(w.T), np.log(norms)
 
 
 def _uniform_starts(d: int, n: int, rng) -> np.ndarray:
@@ -223,10 +226,8 @@ def _pair_grid(d: int, n_pairs: int, rng) -> np.ndarray:
             w = np.array([-math.sin(theta), math.cos(theta)])
             pairs.append((u, w))
     g = _uniform_starts(d, 2 * n_pairs, rng).reshape(n_pairs, 2, d)
-    for u, w in g:
-        if angular_distance(u, w) > 1e-6:
-            pairs.append((u, w))
-    return np.array(pairs)
+    g = g[_sine(g[:, 0], g[:, 1]) > 1e-6]
+    return np.concatenate([np.reshape(pairs, (-1, 2, d)), g])
 
 
 def contraction_estimate(triplet: MatrixLevyTriplet, n: int, gamma: float,
@@ -242,9 +243,8 @@ def contraction_estimate(triplet: MatrixLevyTriplet, n: int, gamma: float,
     _, dirs, _ = _engine.evolve_vectors(
         triplet, flat, float(n), n_paths, s_engine, [float(n)], dt=dt)
     moved = dirs[0].reshape(n_paths, len(pairs), 2, triplet.d)
-    dots = np.einsum("pki,pki->pk", moved[:, :, 0, :], moved[:, :, 1, :])
-    dist_after = np.sqrt(np.clip(1.0 - dots ** 2, 0.0, 1.0))
-    dist_before = np.array([angular_distance(u, w) for u, w in pairs])
+    dist_after = _sine(moved[:, :, 0, :], moved[:, :, 1, :])
+    dist_before = _sine(pairs[:, 0], pairs[:, 1])
     ratios = (dist_after ** gamma) / (dist_before ** gamma)[None, :]
     per_pair = ratios.mean(axis=0)
     c_hat = float(per_pair.max())

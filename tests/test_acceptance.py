@@ -265,7 +265,7 @@ def test_criterion_14_generator_consistency():
     trip = _cpp_triplet(2, drift)
     C = np.array([[1.0, -0.5], [0.25, 2.0]])
     zero4 = np.zeros((2, 2, 2, 2))
-    f_lin = lf.SmoothFunction(value=lambda x: float(np.sum(C * x)),
+    f_lin = lf.SmoothFunction(value=lambda x: np.sum(C * x, axis=(-2, -1)),
                               grad=lambda x: C, hess=lambda x: zero4)
     a_val = lf.generator_apply(trip, f_lin, np.eye(2))
     assert a_val == pytest.approx(-0.45, abs=1e-12)

@@ -168,6 +168,23 @@ class TestMain:
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
         assert "parameters.seed" in capsys.readouterr().err
 
+    # standard_brownian(2) noise with drift 800 I at dt = 1: the engine's
+    # drift factor e^800 overflows
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("experiment, parameters", [
+        ("mixing", {"t_grid": [1.0, 2.0], "n_paths": 20, "dt": 1.0}),
+        ("mean_check", {"t": 4.0, "n_paths": 50}),
+    ], ids=["mixing", "mean_check"])
+    def test_engine_overflow_exit_three(self, tmp_path, capsys, experiment, parameters):
+        triplet = {"d": 2, "sigma": list(np.eye(4).ravel()),
+                   "gamma": [800.0, 0.0, 0.0, 800.0]}
+        doc = {"triplet": triplet, "experiment": experiment,
+               "parameters": {"seed": 1, **parameters},
+               "output_dir": str(tmp_path / "o")}
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main([experiment, "--config", str(cfg)]) == 3
+        assert "DegenerateNorm" in capsys.readouterr().err
+
     def test_runtime_error_exit_three(self, tmp_path, capsys):
         cfg = _simulate_config(tmp_path, triplet="standard_brownian(2)",
                                method="exact")
@@ -279,7 +296,12 @@ class TestReport:
         ('{"scenario_hash": ', "manifest.json"),
         ('{"scenario_hash": "x", "version": "1", "experiment": "simulate", "seed": "abc",'
          ' "wall_clock_s": 1.0, "summary": {}, "files": []}', "seed"),
-    ], ids=["missing_key", "json_list", "missing_file", "invalid_json", "non_numeric_seed"])
+        ('{"scenario_hash": "x", "version": "1", "experiment": "simulate", "seed": 1,'
+         ' "wall_clock_s": 1.0, "summary": {}, "files": 3}', ": files"),
+        ('{"scenario_hash": "x", "version": "1", "experiment": "simulate", "seed": 1,'
+         ' "wall_clock_s": 1.0, "summary": [], "files": []}', ": summary"),
+    ], ids=["missing_key", "json_list", "missing_file", "invalid_json", "non_numeric_seed",
+            "files_not_a_list", "summary_not_an_object"])
     def test_bad_manifest_exit_two(self, tmp_path, capsys, text, named):
         path = tmp_path / "manifest.json"
         if text is not None:

@@ -94,7 +94,7 @@ class TestGeneratorApply:
     def test_scalar_quadratic(self):
         trip = lf.builtin_triplet("gbm1(0.1, 0.2)")
         f = lf.SmoothFunction(
-            value=lambda x: float(x[0, 0] ** 2),
+            value=lambda x: x[..., 0, 0] ** 2,
             grad=lambda x: np.array([[2.0 * x[0, 0]]]),
             hess=lambda x: np.full((1, 1, 1, 1), 2.0))
         # drift part 2*mu*x^2, diffusion part vol^2 * x^2, at x = 1
@@ -107,7 +107,7 @@ class TestGeneratorApply:
         # for linear f the compensation cutoffs cancel: A f(x) = <x E[L_1], C>
         C = np.array([[1.0, -0.5], [0.25, 2.0]])
         zero4 = np.zeros((2, 2, 2, 2))
-        f = lf.SmoothFunction(value=lambda x: float(np.sum(C * x)),
+        f = lf.SmoothFunction(value=lambda x: np.sum(C * x, axis=(-2, -1)),
                               grad=lambda x: C, hess=lambda x: zero4)
         rng = np.random.default_rng(3)
         for trip in (ROT, SB2):
@@ -138,7 +138,7 @@ class TestGeneratorApply:
 
     def test_inconsistent_gradient_rejected(self):
         f = lf.SmoothFunction(
-            value=lambda x: float(x[0, 0] ** 2),
+            value=lambda x: x[..., 0, 0] ** 2,
             grad=lambda x: np.array([[1.0]]),  # wrong: should be 2x
             hess=lambda x: np.full((1, 1, 1, 1), 2.0))
         with pytest.raises(lf.InconsistentDerivatives):
@@ -147,7 +147,7 @@ class TestGeneratorApply:
 
     def test_inconsistent_hessian_rejected(self):
         f = lf.SmoothFunction(
-            value=lambda x: float(x[0, 0] ** 2),
+            value=lambda x: x[..., 0, 0] ** 2,
             grad=lambda x: np.array([[2.0 * x[0, 0]]]),
             hess=lambda x: np.full((1, 1, 1, 1), 5.0))
         with pytest.raises(lf.InconsistentDerivatives):
@@ -156,12 +156,29 @@ class TestGeneratorApply:
 
 
 class TestGeneratorMcCheck:
+    def test_value_is_called_on_stacks_not_per_path(self):
+        bump = _gauss_bump(np.eye(2), 1.0)
+        shapes = []
+
+        def value(x):
+            shapes.append(np.shape(x))
+            return bump.value(x)
+
+        f = lf.SmoothFunction(value=value, grad=bump.grad, hess=bump.hess)
+        counts = []
+        for n_paths in (10, 1000):
+            shapes.clear()
+            lf.generator_mc_check(SB2, f, np.eye(2), [1e-2, 5e-3], n_paths, seed=0)
+            counts.append(len(shapes))
+            assert (n_paths, 2, 2) in shapes
+        assert counts[0] == counts[1]
+
     def test_deterministic_dynamics_use_zero_se_convention(self):
         drift = np.array([[0.1, 0.3], [0.0, -0.2]])
         trip = _cpp_triplet(2, drift)
         C = np.array([[1.0, -0.5], [0.25, 2.0]])
         zero4 = np.zeros((2, 2, 2, 2))
-        f = lf.SmoothFunction(value=lambda x: float(np.sum(C * x)),
+        f = lf.SmoothFunction(value=lambda x: np.sum(C * x, axis=(-2, -1)),
                               grad=lambda x: C, hess=lambda x: zero4)
         rows, a_val = lf.generator_mc_check(trip, f, np.eye(2), [1e-2],
                                             n_paths=6, seed=0)

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import logm
 
 import levyflow as lf
+from levyflow.cli import _gauss_bump
 from levyflow.limits import _terminal_log_samples
 
 GBM = lf.builtin_triplet("gbm1(0.1, 0.2)")
@@ -122,6 +123,9 @@ class TestBerryEsseen:
 OVERFLOW = lf.builtin_triplet("gbm1(800, 0.1)")
 E1 = lf.FunctionalSpec.vector_norm([1.0])
 OP = lf.FunctionalSpec.op_norm()
+# the same overflow in d = 2, for the estimators on projective space and the
+# unnormalized evolutions: standard_brownian(2) noise with drift 800 I
+OVERFLOW2 = lf.MatrixLevyTriplet(d=2, sigma=np.eye(4), gamma=800.0 * np.eye(2))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -132,8 +136,17 @@ OP = lf.FunctionalSpec.op_norm()
     lambda: lf.clt_diagnostic(OVERFLOW, OP, 4.0, 50, 1, dt=1.0),
     lambda: lf.lambda_moment_function(OVERFLOW, [0.5, 1.0], 4.0, 50, 1, dt=1.0),
     lambda: lf.berry_esseen_curve(OVERFLOW, E1, [2.0, 4.0], 50, seed=1, dt=1.0),
+    lambda: lf.mixing_rate(OVERFLOW2, lf.HolderFn(eval=lambda p: p.v[0] ** 2),
+                           np.eye(2), [1.0, 2.0], 20, 1, dt=1.0),
+    lambda: lf.estimate_invariant_measure(OVERFLOW2, 1.0, 4, 1, 5, 1, dt=1.0),
+    lambda: lf.contraction_estimate(OVERFLOW2, 2, 1.0, 4, 20, 1, dt=1.0),
+    lambda: lf.mean_check(OVERFLOW2, 4.0, 50, 1),
+    # h = 1 with 8 substeps: the unnormalized state reaches e^800
+    lambda: lf.generator_mc_check(OVERFLOW2, _gauss_bump(np.eye(2), 1.0), np.eye(2),
+                                  [1.0], 50, 1),
 ], ids=["lyapunov_vector", "lyapunov_op_norm", "clt_vector", "clt_op_norm",
-        "moment_function", "berry_esseen"])
+        "moment_function", "berry_esseen", "mixing_rate", "invariant_measure",
+        "contraction", "mean_check", "generator_mc_check"])
 def test_non_finite_engine_output_raises_degenerate_norm(call):
     with pytest.raises(lf.DegenerateNorm, match="not finite"):
         call()

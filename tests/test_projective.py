@@ -114,11 +114,11 @@ class TestProjectChain:
         ep = lf.emery_exponential(path)
         y0 = np.array([0.6, 0.8])
         points, lognorms = lf.project_chain(ep, y0)
-        assert len(points) == len(ep.grid)
+        assert points.v.shape == (2, len(ep.grid))
         for k in range(len(ep.grid)):
             w = y0 @ ep.X[k]
             assert lognorms[k] == pytest.approx(np.log(np.linalg.norm(w)), abs=1e-12)
-            assert lf.angular_distance(points[k], w) == pytest.approx(0.0, abs=1e-7)
+            assert lf.angular_distance(points.v[:, k], w) == pytest.approx(0.0, abs=1e-7)
 
     def test_rotation_moves_direction_at_unit_speed(self):
         rot = _drift_only([[0.0, -1.0], [1.0, 0.0]])
@@ -126,7 +126,7 @@ class TestProjectChain:
         ep = lf.emery_exponential(path)
         points, lognorms = lf.project_chain(ep, np.array([1.0, 0.0]))
         # y0 @ X_t = (cos t, -sin t): angle -t mod pi, unit norm
-        assert points[-1].angle() == pytest.approx(np.pi - 1.0, abs=1e-2)
+        assert points.angle()[-1] == pytest.approx(np.pi - 1.0, abs=1e-2)
         np.testing.assert_allclose(lognorms, np.zeros(len(ep.grid)), atol=1e-3)
 
 
@@ -190,6 +190,16 @@ class TestContraction:
         assert rep.contracting
         assert 0.0 < rep.c_hat < 1.0
         assert rep.gamma == 0.5
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_rotation_is_an_isometry(self, gamma):
+        # the flow of a rotation drift keeps every angle between lines, so
+        # each pair's ratio is 1: dist_before and dist_after line up pair by pair
+        rot = _drift_only([[0.0, -1.0], [1.0, 0.0]])
+        rep = lf.contraction_estimate(rot, n=2, gamma=gamma, n_pairs=16,
+                                      n_paths=3, seed=5)
+        assert len(rep.per_pair) == 4 + 16
+        np.testing.assert_allclose(rep.per_pair, 1.0, rtol=0, atol=1e-12)
 
     def test_bad_gamma_rejected(self):
         with pytest.raises(ValueError):
