@@ -13,13 +13,17 @@ E[D (I + dB)] = D and the noise is independent of the jumps, so E[X_t] is
 exact too.  D is folded into the Gaussian factor G of vec(dB) once:
 vec(D @ B) = (I kron D) vec(B), so G' = Pi (I kron D) G, with Pi taking
 column-stacked to row-major order, gives F = D + (z @ G'.T).reshape(n, d, d)
-for standard normals z.  A product of (p, m, d) row vectors with per-path
-factors uses einsum for one row (m = 1) and stacked matmul for several, the
-faster of the two at each shape.  One step loop serves both entry points,
-with one of three norm modes: evolve_vectors divides out each row's Euclidean
-norm every step, evolve_matrices each state's Frobenius norm, or nothing with
-renormalize=False.  The log-scale is accumulated separately, so long-horizon
-norm statistics are exact at snapshot times and never overflow.
+for standard normals z.  Inside the step loop the state is paths-last: m rows
+of length d are a C-contiguous (m, d, n_paths) array, their log-scales
+(m, n_paths) or (n_paths,), and the Gaussian factors (d, d, n_paths).
+Paths-first, the 1- to 3-element d axis would be innermost and every product,
+norm and division would loop over it; paths-last, each is a few unit-stride
+passes over all paths, the row product v @ F being sum_k v[:, k] F[k, :].
+Snapshots are stored paths-first, as the public arrays.  One step loop serves both entry
+points, with one of three norm modes: evolve_vectors divides out each row's
+Euclidean norm every step, evolve_matrices each state's Frobenius norm, or
+nothing with renormalize=False.  The log-scale is accumulated separately, so
+long-horizon norm statistics are exact at snapshot times and never overflow.
 
 A single batched RNG stream with a fixed per-step draw order drives each run:
 Gaussians, then jump counts, then per jump round the atom choices and the
@@ -65,11 +69,14 @@ class _StepScheme:
 
     def cont_factors(self, rng, n: int):
         """(n, d, d) per-path factors D @ (I + dB), or the (d, d) drift factor
-        D shared by the whole batch when there is no Gaussian part."""
+        D shared by the whole batch when there is no Gaussian part.  The
+        per-path factors are a view of a paths-last (d, d, n) array."""
         if self.gauss is None:
             return self.drift_factor
         z = rng.standard_normal((n, self.d * self.d))
-        return self.drift_factor + (z @ self.gauss.T).reshape(n, self.d, self.d)
+        f = (self.gauss @ z.T).reshape(self.d, self.d, n)
+        f += self.drift_factor[:, :, None]
+        return f.transpose(2, 0, 1)
 
     def jump_plan(self, rng, n: int):
         """[(path indices, (m, d, d) factors)] rounds covering all jumps this step.
@@ -101,10 +108,15 @@ class _StepScheme:
 
 
 def _rowvec_product(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """v @ f per path for (p, m, d) rows and (p, d, d) or shared (d, d) factors."""
-    if v.shape[1] == 1 and f.ndim == 3:
-        return np.einsum("pmi,pij->pmj", v, f)
-    return v @ f
+    """v @ f per path for paths-last (m, d, p) rows and (p, d, d) per-path
+    or shared (d, d) factors; the result is paths-last (m, d, p)."""
+    if f.ndim == 2:
+        return np.matmul(f.T, v)
+    f = f.transpose(1, 2, 0)
+    out = v[:, 0, None, :] * f[0]
+    for k in range(1, f.shape[0]):
+        out += v[:, k, None, :] * f[k]
+    return out
 
 
 def _snapshot_indices(snapshot_times, n_steps: int, dt: float):
@@ -119,10 +131,11 @@ def _snapshot_indices(snapshot_times, n_steps: int, dt: float):
 
 def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
     """The step loop: (times, states, logs) snapshots of (n_paths, m, d) row
-    vectors (a matrix is its d rows) and their accumulated log-scales.
-    ``norm`` is the einsum output subscript of the norm divided out each step:
-    "pm" one per row, "p" one Frobenius norm per path, None for none.  Callers
-    keep no name for ``states``, so that the first step frees the start buffer.
+    vectors (a matrix is its d rows) and their accumulated log-scales, of
+    shape (n_paths, m) or (n_paths,).  ``norm`` holds the paths-last axes
+    summed for the norm divided out each step: (1,) one per row, (0, 1) one
+    Frobenius norm per path, None for none.  Callers keep no name for
+    ``states``, so that taking the paths-last copy frees the start buffer.
     A snapshot that is not finite raises DegenerateNorm.
     """
     n_steps = max(1, int(round(T / dt)))
@@ -133,21 +146,23 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
     n_paths = len(states)
     out_states = np.empty((len(times),) + states.shape)
     out_logs = np.empty((len(times),) + logs.shape)
+    states = states.transpose(1, 2, 0).copy()
+    logs = logs.T.copy()
 
     def record(step):
         for pos in by_step.get(step, ()):
-            out_states[pos] = states
-            out_logs[pos] = logs
+            out_states[pos] = states.transpose(2, 0, 1)
+            out_logs[pos] = logs.T
 
     record(0)
     for step in range(1, n_steps + 1):
         states = _rowvec_product(states, scheme.cont_factors(rng, n_paths))
         for act, f in scheme.jump_plan(rng, n_paths):
-            states[act] = _rowvec_product(states[act], f)
+            states[:, :, act] = _rowvec_product(states[:, :, act], f)
         if norm is not None:
-            norms = np.sqrt(np.einsum(f"pmi,pmi->{norm}", states, states))
-            logs = logs + np.log(norms)
-            states /= norms.reshape(norms.shape + (1,) * (3 - norms.ndim))
+            norms = np.sqrt((states * states).sum(axis=norm, keepdims=True))
+            logs = logs + np.log(norms).reshape(logs.shape)
+            states /= norms
         record(step)
     if not (np.all(np.isfinite(out_states)) and np.all(np.isfinite(out_logs))):
         raise DegenerateNorm("engine state is not finite on some path")
@@ -175,7 +190,7 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
     del v  # only the unit rows below stay alive during the loop
     return _evolve(triplet, T, seed, snapshot_times, dt, starts / norms[..., None],
-                   np.log(norms), "pm")
+                   np.log(norms), (1,))
 
 
 def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
@@ -188,4 +203,4 @@ def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
     """
     return _evolve(triplet, T, seed, snapshot_times, dt,
                    np.tile(np.eye(triplet.d), (n_paths, 1, 1)), np.zeros(n_paths),
-                   "p" if renormalize else None)
+                   (0, 1) if renormalize else None)

@@ -314,12 +314,11 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
                     x: np.ndarray) -> float:
     """A_X f(x): drift/diffusion terms plus the exact jump atom sum.
 
-    First-order coefficient ell(x) = x gamma_L + sum_i r_i x a_i
-    (1{||x a_i||_F <= 1} - 1{||a_i||_F <= 1}); diffusion Q(x)^{(i,j,k,l)} =
-    sum_{m,n} x^{(i,m)} sigma_{(m,j),(n,l)} x^{(k,n)}; jumps move x to
-    x + x a_i with the small-jump gradient compensation under ||.||_F <= 1.
-    The atoms are one (k, d, d) stack, so f.value is called once on all of
-    the post-jump states.
+    First-order coefficient ell(x) = x gamma_L - sum_i r_i x a_i
+    1{||a_i||_F <= 1}, the drift with the small atoms' compensation;
+    diffusion Q(x)^{(i,j,k,l)} = sum_{m,n} x^{(i,m)} sigma_{(m,j),(n,l)}
+    x^{(k,n)}; jumps add sum_i r_i (f(x + x a_i) - f(x)).  The atoms are one
+    (k, d, d) stack, so f.value is called once on all of the post-jump states.
     """
     x = np.asarray(x, dtype=float)
     d = triplet.d
@@ -329,10 +328,8 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
     rates = np.array([r for r, _ in triplet.jumps.atom_rates()])
     marks = np.array([a for _, a in triplet.jumps.atoms]).reshape(-1, d, d)
     xa = x @ marks
-    small = np.linalg.norm(xa, axis=(1, 2)) <= 1.0
     compensated = np.linalg.norm(marks, axis=(1, 2)) <= 1.0
-    weights = rates * (small.astype(float) - compensated)
-    ell = x @ triplet.gamma + np.einsum("k,kij->ij", weights, xa)
+    ell = x @ triplet.gamma - np.einsum("k,kij->ij", rates * compensated, xa)
     total = float(np.einsum("ij,ij->", ell, g))
 
     if triplet.has_gaussian_part():
@@ -341,8 +338,7 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
         q = np.einsum("im,jmln,kn->ijkl", x, sigma4, x)
         total += 0.5 * float(np.einsum("ijkl,ijkl->", q, hess))
 
-    jump = f.value(x + xa) - f.value(x) - small * np.einsum("kij,ij->k", xa, g)
-    return total + float(rates @ jump)
+    return total + float(rates @ (f.value(x + xa) - f.value(x)))
 
 
 def generator_mc_check(triplet: MatrixLevyTriplet, f: SmoothFunction,

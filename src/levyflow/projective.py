@@ -150,14 +150,16 @@ def _as_unit(p) -> np.ndarray:
 
 
 def _sine(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sqrt(1 - <u, w>^2) along the last axis of unit vectors u and w."""
-    c = np.einsum("...i,...i->...", u, w)
-    return np.sqrt(np.clip(1.0 - c * c, 0.0, 1.0))
+    """|sin| of the angle between unit vectors u and w along the last axis,
+    as ||u - w|| ||u + w|| / 2 = 2 sin(theta/2) cos(theta/2).  Close lines
+    keep full relative accuracy here, where sqrt(1 - <u, w>^2) loses it."""
+    s = np.linalg.norm(u - w, axis=-1) * np.linalg.norm(u + w, axis=-1) / 2.0
+    return np.minimum(s, 1.0)
 
 
 def angular_distance(a, b) -> float:
-    """|sin(angle between the lines)| = sqrt(1 - <a, b>^2); a metric on
-    projective space with values in [0, 1]."""
+    """|sin(angle between the lines)|; a metric on projective space with
+    values in [0, 1]."""
     return float(_sine(_as_unit(a), _as_unit(b)))
 
 

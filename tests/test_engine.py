@@ -176,15 +176,22 @@ class TestRowProducts:
         np.testing.assert_allclose(dirs3[:, :, :1, :], dirs1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(logs3[:, :, :1], logs1, rtol=0, atol=1e-12)
 
-    def test_product_picks_kernel_by_shape_with_equal_results(self):
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_paths_last_product_is_per_path_row_product(self, d, m):
+        """Paths-last (m, d, p) rows times per-path (p, d, d) or shared (d, d)
+        factors equal y @ F path by path."""
         rng = np.random.default_rng(2)
-        f = rng.standard_normal((40, 3, 3))
-        v = rng.standard_normal((40, 4, 3))
-        expected = np.stack([v[p] @ f[p] for p in range(40)])
-        np.testing.assert_allclose(_engine._rowvec_product(v, f), expected,
+        f = rng.standard_normal((40, d, d))
+        v = rng.standard_normal((40, m, d))
+        v_last = v.transpose(1, 2, 0).copy()
+        got = _engine._rowvec_product(v_last, f)
+        assert got.shape == (m, d, 40)
+        np.testing.assert_allclose(got.transpose(2, 0, 1),
+                                   np.stack([v[p] @ f[p] for p in range(40)]),
                                    rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(_engine._rowvec_product(v[:, :1], f),
-                                   expected[:, :1], rtol=1e-13, atol=1e-13)
-        shared = f[0]
-        np.testing.assert_array_equal(_engine._rowvec_product(v[:, :1], shared),
-                                      v[:, :1] @ shared)
+        shared = _engine._rowvec_product(v_last, f[0])
+        assert shared.shape == (m, d, 40)
+        np.testing.assert_allclose(shared.transpose(2, 0, 1),
+                                   np.stack([v[p] @ f[0] for p in range(40)]),
+                                   rtol=1e-13, atol=1e-13)

@@ -107,6 +107,21 @@ class TestAngularDistance:
     def test_orthogonal_lines_at_unit_distance(self):
         assert lf.angular_distance([1.0, 0.0], [0.0, 2.0]) == pytest.approx(1.0)
 
+    def test_close_lines_keep_relative_accuracy(self):
+        """Unit pairs at angles 1e-6 to 3e-6, where sqrt(1 - <u, w>^2) is off
+        by up to 1e-4 relative."""
+        from levyflow.projective import _sine
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal((2000, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v = rng.standard_normal((2000, 3))
+        v -= np.sum(u * v, axis=1, keepdims=True) * u
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        theta = rng.uniform(1e-6, 3e-6, 2000)
+        w = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
+        for sign in (1.0, -1.0):
+            np.testing.assert_allclose(_sine(u, sign * w), np.sin(theta), rtol=1e-9, atol=0)
+
 
 class TestProjectChain:
     def test_lognorms_match_recomputation(self):
