@@ -10,10 +10,9 @@ D e^{-r_1 gamma^0}(I + a_1) e^{r_1 gamma^0} ... = e^{s_1 gamma^0}(I + a_1)
 e^{(s_2 - s_1) gamma^0} ... (I + a_k) e^{(dt - s_k) gamma^0}, the exact
 product, so the scheme is exact for sigma = 0 at any dt; with sigma > 0,
 E[D (I + dB)] = D and the noise is independent of the jumps, so E[X_t] is
-exact too.  D is folded into the Gaussian factor G of vec(dB) once:
-vec(D @ B) = (I kron D) vec(B), so G' = Pi (I kron D) G, with Pi taking
-column-stacked to row-major order, gives F = D + (z @ G'.T).reshape(n, d, d)
-for standard normals z.  Inside the step loop the state is paths-last: m rows
+exact too.  D is folded once into the triplet's Brownian factor G, which
+gives dB = G @ z for standard normals z: with G'[m, j] = sum_k D[m, k] G[k, j],
+F = D + G' @ z.  Inside the step loop the state is paths-last: m rows
 of length d are a C-contiguous (m, d, n_paths) array, their log-scales
 (m, n_paths) or (n_paths,), and the Gaussian factors (d, d, n_paths).
 Paths-first, the 1- to 3-element d axis would be innermost and every product,
@@ -35,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import expm_family, grid_indices, psd_factor
+from ._linalg import expm_family, grid_indices
 from .levy_model import MatrixLevyTriplet
 
 
@@ -51,18 +50,14 @@ class _StepScheme:
         self.dt = float(dt)
         self.drift_factor = expm(self.dt * triplet.drift())
         if triplet.has_gaussian_part():
-            # row j*d+k of G is entry (k, j) of dB; row m*d+j of G' is (D @ dB)[m, j]
-            g = np.einsum("mk,jkl->mjl", self.drift_factor,
-                          psd_factor(triplet.sigma).reshape(self.d, self.d, -1))
+            g = np.einsum("mk,kjl->mjl", self.drift_factor, triplet.brownian_factor)
             self.gauss = g.reshape(self.d ** 2, -1) * np.sqrt(self.dt)
         else:
             self.gauss = None
-        j = triplet.jumps
-        if j.active:
-            self.jump_rate = float(j.rate)
-            probs = np.array([p for p, _ in j.atoms])
-            self.probs = probs / probs.sum()
-            self.marks = np.stack([a for _, a in j.atoms])
+        if triplet.jumps.active:
+            self.jump_rate = triplet.jumps.rate
+            self.probs = triplet.rates / triplet.rates.sum()
+            self.marks = triplet.marks
             self.drift_exp = expm_family(self.dt * triplet.drift())
         else:
             self.jump_rate = 0.0
@@ -136,8 +131,12 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
     summed for the norm divided out each step: (1,) one per row, (0, 1) one
     Frobenius norm per path, None for none.  Callers keep no name for
     ``states``, so that taking the paths-last copy frees the start buffer.
-    A snapshot that is not finite raises DegenerateNorm.
+    A snapshot that is not finite raises DegenerateNorm; T <= 0, dt <= 0 or
+    no paths raise ValueError.
     """
+    if not (T > 0 and dt > 0 and len(states) >= 1):
+        raise ValueError(f"need T > 0, dt > 0 and n_paths >= 1, got T={T}, dt={dt}, "
+                         f"n_paths={len(states)}")
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
     times, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff)

@@ -7,11 +7,10 @@ with 17 significant digits, which round-trips IEEE doubles exactly).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -36,6 +35,7 @@ __all__ = [
 ]
 
 _MISSING = object()
+_F_KINDS = ("op_norm", "vector_norm", "entry", "abs_inner")
 
 
 class ConfigError(ValueError):
@@ -117,7 +117,10 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _param(params: dict, key: str, kind, default=_MISSING):
+def _param(params: dict, key: str, kind, default=_MISSING, least=None, above=None):
+    """``parameters[key]`` as ``kind``, or ``default`` when absent.  A number,
+    or every entry of a list, must be finite and, where given, >= ``least``
+    and > ``above``; else a ConfigError names the key."""
     where = f"parameters.{key}"
     if key not in params:
         if default is not _MISSING:
@@ -127,27 +130,35 @@ def _param(params: dict, key: str, kind, default=_MISSING):
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(where, f"expected a number, got {type(val).__name__}")
-        return float(val)
-    if kind is int:
+        val = float(val)
+    elif kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(where, f"expected an integer, got {type(val).__name__}")
-        return int(val)
-    if kind is str:
+    elif kind is str:
         if not isinstance(val, str):
             raise ConfigError(where, f"expected a string, got {type(val).__name__}")
         return val
-    if kind is list:
+    elif kind is list:
         if not isinstance(val, list) or not val:
             raise ConfigError(where, "expected a nonempty list")
         try:
-            return [float(v) for v in val]
+            val = [float(v) for v in val]
         except (TypeError, ValueError):
             raise ConfigError(where, "expected a list of numbers") from None
-    if kind is dict:
+    elif kind is dict:
         if not isinstance(val, dict):
             raise ConfigError(where, f"expected an object, got {type(val).__name__}")
         return val
-    raise AssertionError(kind)
+    else:
+        raise AssertionError(kind)
+    for v in val if kind is list else [val]:
+        if not math.isfinite(v):
+            raise ConfigError(where, f"expected a finite number, got {v}")
+        if least is not None and not v >= least:
+            raise ConfigError(where, f"expected a number >= {least}, got {v}")
+        if above is not None and not v > above:
+            raise ConfigError(where, f"expected a number > {above}, got {v}")
+    return val
 
 
 def _direction(raw, where: str, d: int) -> np.ndarray:
@@ -168,14 +179,18 @@ def _index(raw, where: str, d: int) -> int:
     return raw
 
 
-def _functional(params: dict, d: int) -> FunctionalSpec:
-    """The F spec, op_norm when absent; vectors and indices checked against d."""
+def _functional(params: dict, d: int, kinds=_F_KINDS) -> FunctionalSpec:
+    """The F spec, op_norm when absent; its kind must be one of ``kinds`` and
+    its vectors and indices must fit d."""
     spec = params.get("F")
     if spec is None:
-        return FunctionalSpec.op_norm()
+        spec = {"kind": "op_norm"}
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("parameters.F", "expected an object with a 'kind' key")
     kind = spec["kind"]
+    if kind not in kinds:
+        raise ConfigError("parameters.F.kind",
+                          f"expected one of {', '.join(kinds)}, got {kind!r}")
     try:
         if kind == "op_norm":
             return FunctionalSpec.op_norm()
@@ -184,12 +199,10 @@ def _functional(params: dict, d: int) -> FunctionalSpec:
         if kind == "entry":
             return FunctionalSpec.entry(_index(spec["i"], "parameters.F.i", d),
                                         _index(spec["j"], "parameters.F.j", d))
-        if kind == "abs_inner":
-            return FunctionalSpec.abs_inner(_direction(spec["y"], "parameters.F.y", d),
-                                            _direction(spec["z"], "parameters.F.z", d))
+        return FunctionalSpec.abs_inner(_direction(spec["y"], "parameters.F.y", d),
+                                        _direction(spec["z"], "parameters.F.z", d))
     except KeyError as exc:
         raise ConfigError(f"parameters.F.{exc.args[0]}", "missing key") from None
-    raise ConfigError("parameters.F.kind", f"unknown functional kind {kind!r}")
 
 
 def _holder_fn(params: dict, d: int) -> HolderFn:
@@ -236,8 +249,8 @@ def _entry_header(d: int, prefix: str = "X") -> list[str]:
 # -- experiment implementations (each returns (summary, header, rows)) ---------
 
 def _run_simulate(triplet, params, seed):
-    T = _param(params, "T", float)
-    dt = _param(params, "dt", float)
+    dt = _param(params, "dt", float, above=0.0)
+    T = _param(params, "T", float, least=dt)
     method = _param(params, "method", str, default="auto")
     path = sample_levy_path(triplet, T, dt, seed)
     if method == "auto":
@@ -257,8 +270,8 @@ def _run_simulate(triplet, params, seed):
 
 
 def _run_determinant(triplet, params, seed):
-    T = _param(params, "T", float)
-    dt = _param(params, "dt", float)
+    dt = _param(params, "dt", float, above=0.0)
+    T = _param(params, "T", float, least=dt)
     path = sample_levy_path(triplet, T, dt, seed)
     ep = _auto_exponential(path, triplet)
     closed = det_closed_form(path, triplet)
@@ -276,10 +289,10 @@ def _run_determinant(triplet, params, seed):
 
 
 def _run_lyapunov(triplet, params, seed):
-    T = _param(params, "T", float)
-    n_paths = _param(params, "n_paths", int)
-    dt = _param(params, "dt", float, default=0.05)
-    F = _functional(params, triplet.d)
+    T = _param(params, "T", float, above=0.0)
+    n_paths = _param(params, "n_paths", int, least=2)
+    dt = _param(params, "dt", float, default=0.05, above=0.0)
+    F = _functional(params, triplet.d, ("op_norm", "vector_norm"))
     lam, se = lyapunov_estimate(triplet, F, T, n_paths, seed, dt=dt)
     summary = {"lambda_hat": lam, "lambda_se": se, "T": T, "n_paths": n_paths}
     rows = [[lam, se, T, n_paths]]
@@ -287,9 +300,9 @@ def _run_lyapunov(triplet, params, seed):
 
 
 def _run_clt(triplet, params, seed):
-    T = _param(params, "T", float)
-    n_paths = _param(params, "n_paths", int)
-    dt = _param(params, "dt", float, default=0.05)
+    T = _param(params, "T", float, above=0.0)
+    n_paths = _param(params, "n_paths", int, least=2)
+    dt = _param(params, "dt", float, default=0.05, above=0.0)
     F = _functional(params, triplet.d)
     rep = clt_diagnostic(triplet, F, T, n_paths, seed, dt=dt)
     summary = {
@@ -305,11 +318,11 @@ def _run_clt(triplet, params, seed):
 
 
 def _run_berry_esseen(triplet, params, seed):
-    t_grid = _param(params, "t_grid", list)
-    n_paths = _param(params, "n_paths", int)
-    dt = _param(params, "dt", float, default=0.05)
+    t_grid = _param(params, "t_grid", list, above=0.0)
+    n_paths = _param(params, "n_paths", int, least=2)
+    dt = _param(params, "dt", float, default=0.05, above=0.0)
     spec = params.get("F", {"kind": "vector_norm", "y": list(np.eye(triplet.d)[0])})
-    F = _functional({"F": spec}, triplet.d)
+    F = _functional({"F": spec}, triplet.d, ("vector_norm",))
     z_grid = params.get("z_grid")
     if z_grid is not None:
         z_grid = np.asarray(_param(params, "z_grid", list), dtype=float)
@@ -322,13 +335,11 @@ def _run_berry_esseen(triplet, params, seed):
 
 
 def _run_invariant_measure(triplet, params, seed):
-    h = _param(params, "h", float)
-    n_steps = _param(params, "n_steps", int)
-    burn_in = _param(params, "burn_in", int)
-    n_chains = _param(params, "n_chains", int)
-    dt = _param(params, "dt", float, default=None)
-    if dt is not None and dt <= 0:
-        raise ConfigError("parameters.dt", "expected a positive number")
+    h = _param(params, "h", float, above=0.0)
+    burn_in = _param(params, "burn_in", int, least=0)
+    n_steps = _param(params, "n_steps", int, least=burn_in + 1)
+    n_chains = _param(params, "n_chains", int, least=1)
+    dt = _param(params, "dt", float, default=None, above=0.0)
     measure = estimate_invariant_measure(triplet, h, n_steps, burn_in, n_chains,
                                          seed, dt=dt)
     d = triplet.d
@@ -343,9 +354,9 @@ def _run_invariant_measure(triplet, params, seed):
 
 
 def _run_mixing(triplet, params, seed):
-    t_grid = _param(params, "t_grid", list)
-    n_paths = _param(params, "n_paths", int)
-    dt = _param(params, "dt", float, default=0.05)
+    t_grid = _param(params, "t_grid", list, above=0.0)
+    n_paths = _param(params, "n_paths", int, least=2)
+    dt = _param(params, "dt", float, default=0.05, above=0.0)
     n_starts = _param(params, "n_starts", int, default=6)
     f = _holder_fn(params, triplet.d)
     s_starts, s_engine = np.random.SeedSequence(seed).spawn(2)
@@ -363,7 +374,7 @@ def _run_mixing(triplet, params, seed):
 
 
 def _run_ip_certify(triplet, params, seed):
-    search_depth = _param(params, "search_depth", int, default=6)
+    search_depth = _param(params, "search_depth", int, default=6, least=1)
     n_samples = _param(params, "n_samples", int, default=32)
     cert = ip_certify(triplet, search_depth=search_depth,
                       n_samples=n_samples, seed=seed)
@@ -377,10 +388,10 @@ def _run_ip_certify(triplet, params, seed):
 
 
 def _run_generator_check(triplet, params, seed):
-    h_grid = _param(params, "h_grid", list)
-    n_paths = _param(params, "n_paths", int)
-    n_substeps = _param(params, "n_substeps", int, default=8)
-    width = _param(params, "bump_width", float, default=1.0)
+    h_grid = _param(params, "h_grid", list, above=0.0)
+    n_paths = _param(params, "n_paths", int, least=2)
+    n_substeps = _param(params, "n_substeps", int, default=8, least=1)
+    width = _param(params, "bump_width", float, default=1.0, above=0.0)
     d = triplet.d
     x = _param(params, "x", list, default=None)
     if x is not None and len(x) != d * d:
@@ -396,8 +407,8 @@ def _run_generator_check(triplet, params, seed):
 
 
 def _run_mean_check(triplet, params, seed):
-    t = _param(params, "t", float)
-    n_paths = _param(params, "n_paths", int)
+    t = _param(params, "t", float, above=0.0)
+    n_paths = _param(params, "n_paths", int, least=2)
     rep = path_sampler.mean_check(triplet, t, n_paths, seed)
     d = triplet.d
     i, j = np.divmod(np.arange(d * d), d)
@@ -423,18 +434,6 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 # -- scenario plumbing ----------------------------------------------------------
-
-def _thread_cap():
-    """Best-effort BLAS thread cap from LEVYFLOW_THREADS."""
-    raw = os.environ.get("LEVYFLOW_THREADS")
-    if not raw:
-        return contextlib.nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=int(raw))
-    except (ImportError, ValueError):
-        return contextlib.nullcontext()
-
 
 def _parse_scenario(config_path, seed=None, out_dir=None, experiment=None) -> Scenario:
     path = Path(config_path)
@@ -517,9 +516,8 @@ def run_scenario(config_path, seed=None, out_dir=None, experiment=None) -> RunMa
     out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    with _thread_cap():
-        summary, header, rows = _RUNNERS[scenario.experiment](
-            scenario.triplet, scenario.parameters, eff_seed)
+    summary, header, rows = _RUNNERS[scenario.experiment](
+        scenario.triplet, scenario.parameters, eff_seed)
     wall = time.perf_counter() - start
 
     csv_name = f"{scenario.experiment}.csv"

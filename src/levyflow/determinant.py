@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fro_norm, log_abs_det
+from ._linalg import log_abs_det
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
 from .path_sampler import LevyPath
 
@@ -52,34 +52,21 @@ def _s2(sigma: np.ndarray, d: int) -> float:
     return float(sigma[n * d + m, m * d + n].sum())
 
 
-def _atom_logdets(triplet: MatrixLevyTriplet) -> list[tuple[float, float, float]]:
-    """(rate_i, v_i, trace a_i) per atom with v_i = log|det(I + a_i)|."""
-    eye = np.eye(triplet.d)
-    out = []
-    for r, a in triplet.jumps.atom_rates():
-        sign, logabs = log_abs_det(eye + a)
-        if sign == 0.0:
-            raise SingularJump("det(I + a) = 0 for a jump atom")
-        out.append((r, float(logabs), float(np.trace(a))))
-    return out
-
-
 def check_characteristics(triplet: MatrixLevyTriplet) -> CheckTriplet:
     """Characteristic triplet and mean of log|D| from the driving triplet."""
     d = triplet.d
-    sigma_d = _sigma_d(triplet.sigma, d)
-    s2 = _s2(triplet.sigma, d)
-    base = float(np.trace(triplet.gamma)) - 0.5 * s2
-    gamma_d = base
-    mean = base
-    nu = []
-    for (r, v, tr_a), (_, a) in zip(_atom_logdets(triplet), triplet.jumps.atom_rates()):
-        small_atom = fro_norm(a) <= 1.0
-        gamma_d += r * (v * (abs(v) <= 1.0) - tr_a * small_atom)
-        mean += r * (v - tr_a * small_atom)
-        if v != 0.0:
-            nu.append((r, v))
-    return CheckTriplet(sigma_D=sigma_d, gamma_D=gamma_d, nu_D=tuple(nu), mean=mean)
+    r, marks = triplet.rates, triplet.marks
+    sign, v = np.linalg.slogdet(np.eye(d) + marks)
+    if np.any(sign == 0.0):
+        raise SingularJump("det(I + a) = 0 for a jump atom")
+    # compensated part of each atom: trace a_i for ||vec a_i|| <= 1
+    comp = np.trace(marks, axis1=1, axis2=2) * (np.linalg.norm(marks, axis=(1, 2)) <= 1.0)
+    base = float(np.trace(triplet.gamma)) - 0.5 * _s2(triplet.sigma, d)
+    gamma_d = base + float(r @ (v * (np.abs(v) <= 1.0) - comp))
+    mean = base + float(r @ (v - comp))
+    nu = tuple((float(ri), float(vi)) for ri, vi in zip(r, v) if vi != 0.0)
+    return CheckTriplet(sigma_D=_sigma_d(triplet.sigma, d), gamma_D=gamma_d, nu_D=nu,
+                        mean=mean)
 
 
 def det_log_series(path: LevyPath, triplet: MatrixLevyTriplet):
@@ -148,9 +135,6 @@ def sl_membership(triplet: MatrixLevyTriplet):
     drift_trace = 2.0 * float(np.trace(triplet.drift()))
     if abs(drift_trace - s2) > 1e-12 * max(1.0, abs(s2), abs(drift_trace)):
         failed.append("drift-trace")
-    eye = np.eye(d)
-    for _, a in triplet.jumps.atom_rates():
-        if abs(np.linalg.det(eye + a) - 1.0) > 1e-12:
-            failed.append("jump-det")
-            break
+    if np.any(np.abs(np.linalg.det(np.eye(d) + triplet.marks) - 1.0) > 1e-12):
+        failed.append("jump-det")
     return (not failed), failed

@@ -104,9 +104,8 @@ def _generators(triplet: MatrixLevyTriplet, n_samples: int, rng):
     if np.any(g0 != 0.0):
         for t in _drift_times(n_samples, rng):
             gens.append((f"drift t={t:.6g}", expm(t * g0)))
-    eye = np.eye(triplet.d)
-    for i, (_, a) in enumerate(triplet.jumps.atoms):
-        gens.append((f"jump atom {i}", eye + a))
+    jump_factors = np.eye(triplet.d) + triplet.marks
+    gens.extend((f"jump atom {i}", g) for i, g in enumerate(jump_factors))
     return gens
 
 
@@ -218,7 +217,7 @@ def _irrationalish(phi: float, q_max: int = 64, tol: float = 1e-3) -> bool:
     return True
 
 
-def _rotation_density(triplet: MatrixLevyTriplet, gens) -> bool:
+def _rotation_density(triplet: MatrixLevyTriplet) -> bool:
     """d = 2 sufficient patterns for strong irreducibility: the drift flow is
     projectively a full rotation family (complex eigenvalues), or some jump
     factor is projectively a rotation by an irrational-ish angle."""
@@ -230,9 +229,8 @@ def _rotation_density(triplet: MatrixLevyTriplet, gens) -> bool:
     scale = max(1.0, float(np.max(np.abs(g0))) ** 2)
     if np.any(g0 != 0.0) and disc < -1e-12 * scale:
         return True
-    eye = np.eye(2)
-    for _, a in triplet.jumps.atoms:
-        phi = _rotation_angle(eye + a)
+    for g in np.eye(2) + triplet.marks:
+        phi = _rotation_angle(g)
         if phi is not None and _irrationalish(phi):
             return True
     return False
@@ -270,7 +268,7 @@ def ip_certify(triplet: MatrixLevyTriplet, search_depth: int = 6,
                                  route="search", counterexample=family)
 
     found = _proximal_word(gens, search_depth, n_samples, rng)
-    if found is not None and _rotation_density(triplet, gens):
+    if found is not None and _rotation_density(triplet):
         word, prod = found
         witness = {
             "word": word,
@@ -325,8 +323,7 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
     _spot_check_derivatives(f, x)
     g = np.asarray(f.grad(x), dtype=float)
 
-    rates = np.array([r for r, _ in triplet.jumps.atom_rates()])
-    marks = np.array([a for _, a in triplet.jumps.atoms]).reshape(-1, d, d)
+    rates, marks = triplet.rates, triplet.marks
     xa = x @ marks
     compensated = np.linalg.norm(marks, axis=(1, 2)) <= 1.0
     ell = x @ triplet.gamma - np.einsum("k,kij->ij", rates * compensated, xa)

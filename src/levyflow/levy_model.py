@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import fro_norm, op_norm
+from ._linalg import op_norm, psd_factor
 
 __all__ = [
     "PSD_TOL", "DET_TOL",
@@ -43,13 +44,16 @@ class SingularJump(ValueError):
     """A jump mark a has det(I + a) = 0, so I + a is not invertible."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _matrix(x, shape, what: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+    return _frozen(a.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +82,6 @@ class JumpSpec:
     def active(self) -> bool:
         return self.rate > 0.0 and len(self.atoms) > 0
 
-    def atom_rates(self) -> list[tuple[float, np.ndarray]]:
-        """(rate_i, a_i) pairs with rate_i = rate * p_i."""
-        return [(self.rate * p, a) for p, a in self.atoms]
-
 
 _NO_JUMPS = JumpSpec()
 
@@ -93,6 +93,11 @@ class MatrixLevyTriplet:
     sigma follows the vec-index convention of :mod:`levyflow._linalg`:
     sigma[(j*d+m, l*d+n)] is the Gaussian covariance between components
     L^(m,j) and L^(n,l) (0-based indices).
+
+    The jump atoms and the Gaussian factor are resolved once, on first use
+    (so :func:`validate` can still report a misshapen atom), to three
+    read-only arrays that every consumer reads: ``marks`` (k, d, d),
+    ``rates`` (k,) and ``brownian_factor`` (d, d, d^2).
     """
 
     d: int
@@ -111,13 +116,29 @@ class MatrixLevyTriplet:
 
     # -- derived quantities -------------------------------------------------
 
+    @cached_property
+    def marks(self) -> np.ndarray:
+        """The jump atoms a_i as one (k, d, d) stack; (0, d, d) without atoms."""
+        marks = np.array([a for _, a in self.jumps.atoms])
+        return _frozen(marks.reshape(-1, self.d, self.d))
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """The atom intensities rate * p_i, shape (k,)."""
+        return _frozen(self.jumps.rate * np.array([p for p, _ in self.jumps.atoms]))
+
+    @cached_property
+    def brownian_factor(self) -> np.ndarray:
+        """G of shape (d, d, d^2) with dB = G @ z for z ~ N(0, I): entry
+        (m, j) of dB is row j*d+m of a factor of sigma, so sum_r G[m, j, r]
+        G[n, l, r] = sigma[(j*d+m), (l*d+n)]."""
+        g = psd_factor(self.sigma).reshape(self.d, self.d, -1)
+        return _frozen(g.transpose(1, 0, 2))
+
     def jump_compensator(self) -> np.ndarray:
         """rate * sum p_i a_i 1{||vec a_i|| <= 1}; difference gamma - drift0."""
-        comp = np.zeros((self.d, self.d))
-        for r, a in self.jumps.atom_rates():
-            if fro_norm(a) <= 1.0:
-                comp = comp + r * a
-        return comp
+        small = np.linalg.norm(self.marks, axis=(1, 2)) <= 1.0
+        return np.einsum("k,kij->ij", self.rates * small, self.marks)
 
     def drift(self) -> np.ndarray:
         """The drift gamma^0 (location minus small-jump compensation)."""
@@ -127,10 +148,7 @@ class MatrixLevyTriplet:
 
     def mean_l1(self) -> np.ndarray:
         """E[L_1] = drift + rate * sum p_i a_i (finite activity)."""
-        m = self.drift().copy()
-        for r, a in self.jumps.atom_rates():
-            m = m + r * a
-        return m
+        return self.drift() + np.einsum("k,kij->ij", self.rates, self.marks)
 
     def has_gaussian_part(self) -> bool:
         return bool(np.any(self.sigma != 0.0))
@@ -195,7 +213,8 @@ def validate(triplet: MatrixLevyTriplet) -> ValidationReport:
             if j.atoms[k][1].shape == a.shape and np.max(np.abs(j.atoms[k][1] - a)) <= 1e-12:
                 bad.append(("jump-atoms-distinct", f"atoms {k} and {i} coincide", i))
 
-    if triplet.drift0 is not None:
+    # the compensator stacks the atoms, so it waits for their shapes to hold
+    if triplet.drift0 is not None and all(a.shape == (d, d) for _, a in j.atoms):
         want = triplet.drift0 + triplet.jump_compensator()
         err = float(np.max(np.abs(triplet.gamma - want)))
         ref = max(1.0, float(np.max(np.abs(want))))
@@ -218,23 +237,18 @@ def moment_check(triplet: MatrixLevyTriplet, epsilon: float) -> MomentReport:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d = triplet.d
-    eye = np.eye(d)
-    big = 0.0
-    inv = 0.0
-    small: float | None = None
-    for r, a in triplet.jumps.atom_rates():
-        if abs(np.linalg.det(eye + a)) <= DET_TOL:
-            raise SingularJump(f"det(I + a) = 0 for atom {a!r}")
-        na = op_norm(a)
-        if na > 1.0:
-            big += r * na ** epsilon
-        u = np.linalg.solve(eye + a, eye) - eye
-        nu = op_norm(u)
-        if nu > 1.0:
-            inv += r * nu ** epsilon
-        if 0.0 < na < 1.0:
-            small = (small or 0.0) + r * (1.0 / (1.0 - na)) ** epsilon
+    eye = np.eye(triplet.d)
+    r, marks = triplet.rates, triplet.marks
+    singular = np.abs(np.linalg.det(eye + marks)) <= DET_TOL
+    if singular.any():
+        raise SingularJump(f"det(I + a) = 0 for atom {marks[np.argmax(singular)]!r}")
+    na = np.linalg.norm(marks, 2, axis=(1, 2))
+    nu = np.linalg.norm(np.linalg.inv(eye + marks) - eye, 2, axis=(1, 2))
+    big = float(r @ np.where(na > 1.0, na ** epsilon, 0.0))
+    inv = float(r @ np.where(nu > 1.0, nu ** epsilon, 0.0))
+    has_small = (na > 0.0) & (na < 1.0)
+    small = (float(r[has_small] @ (1.0 / (1.0 - na[has_small])) ** epsilon)
+             if has_small.any() else None)
     return MomentReport(
         epsilon=float(epsilon),
         integral_big=big,

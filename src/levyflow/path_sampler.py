@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import _engine
-from ._linalg import expm_family, grid_indices, op_norm, psd_factor
+from ._linalg import expm_family, grid_indices, op_norm
 from .levy_model import DET_TOL, MatrixLevyTriplet
 
 __all__ = [
@@ -176,8 +176,7 @@ def _set_jump_index(path: LevyPath | ExpPath, times) -> None:
     object.__setattr__(path, "jump_index", idx)
 
 
-def _walk(path: LevyPath, cell_factors, method: str,
-          check_dets: bool = False) -> ExpPath:
+def _walk(path: LevyPath, cell_factors, method: str) -> ExpPath:
     """Multiply out cell factors and jump factors along the grid."""
     n = len(path.grid)
     d = path.d
@@ -191,10 +190,7 @@ def _walk(path: LevyPath, cell_factors, method: str,
     jump_post = np.empty((len(idx), d, d))
     cur = X[0]
     for c in range(n - 1):
-        f = cell_factors[c]
-        if check_dets and abs(np.linalg.det(f)) <= DET_TOL:
-            raise SingularFactor(f"cell {c}: |det(I + increment)| <= {DET_TOL}")
-        cur = cur @ f
+        cur = cur @ cell_factors[c]
         for j in range(bounds[c], bounds[c + 1]):
             g = eye + path.jumps[j][1]
             if abs(np.linalg.det(g)) <= DET_TOL:
@@ -229,13 +225,10 @@ def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> L
     jump_times = np.empty(0)
     if triplet.jumps.active:
         n_jumps = int(rng.poisson(triplet.jumps.rate * T))
-        times = np.sort(T * (1.0 - rng.random(n_jumps)))
-        probs = np.array([p for p, _ in triplet.jumps.atoms])
-        kinds = rng.choice(len(probs), size=n_jumps, p=probs / probs.sum())
-        jumps = tuple(
-            (float(t), triplet.jumps.atoms[int(k)][1]) for t, k in zip(times, kinds)
-        )
-        jump_times = times
+        jump_times = np.sort(T * (1.0 - rng.random(n_jumps)))
+        rates = triplet.rates
+        kinds = rng.choice(len(rates), size=n_jumps, p=rates / rates.sum())
+        jumps = tuple(zip(jump_times.tolist(), triplet.marks[kinds]))
 
     n_cells = max(1, int(np.ceil(T / dt - 1e-12)))
     base = np.arange(n_cells + 1) * (T / n_cells)
@@ -245,11 +238,9 @@ def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> L
     lens = np.diff(grid)
     inc = lens[:, None, None] * triplet.drift()
     if triplet.has_gaussian_part():
-        a = psd_factor(triplet.sigma)
+        g = triplet.brownian_factor.reshape(d * d, -1)
         z = rng.standard_normal((len(lens), d * d))
-        bvec = (z * np.sqrt(lens)[:, None]) @ a.T
-        # vec is column-stacked: flat index j*d+m <-> entry (m, j)
-        inc = inc + bvec.reshape(-1, d, d).transpose(0, 2, 1)
+        inc = inc + ((z * np.sqrt(lens)[:, None]) @ g.T).reshape(-1, d, d)
 
     return LevyPath(grid=grid, increments=inc, jumps=jumps)
 
@@ -290,9 +281,12 @@ def exact_cpp_exponential(path: LevyPath, triplet: MatrixLevyTriplet) -> ExpPath
 def emery_exponential(path: LevyPath) -> ExpPath:
     """Exponential via the ordered product of (I + cell increment) factors,
     with jumps inserted exactly at their times as separate (I + mark) factors."""
-    eye = np.eye(path.d)
-    factors = eye + path.increments
-    return _walk(path, factors, "emery", check_dets=True)
+    factors = np.eye(path.d) + path.increments
+    singular = np.abs(np.linalg.det(factors)) <= DET_TOL
+    if singular.any():
+        raise SingularFactor(f"cell {np.argmax(singular)}: "
+                             f"|det(I + increment)| <= {DET_TOL}")
+    return _walk(path, factors, "emery")
 
 
 def skorokhod_reconstruct(path: LevyPath, eps: float,

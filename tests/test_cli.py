@@ -206,8 +206,28 @@ class TestMain:
                  "F": {"kind": "abs_inner", "y": [1, 0], "z": [0, 1, 0]}}, "parameters.F.z"),
         ("mixing", {"t_grid": [0.5, 1.0], "n_paths": 10,
                     "f": {"kind": "coord_sq", "u": [0, 0]}}, "parameters.f.u"),
+        ("lyapunov", {"T": 1.0, "n_paths": 0}, "parameters.n_paths"),
+        ("mixing", {"t_grid": [0.5, 1.0], "n_paths": 1}, "parameters.n_paths"),
+        ("clt", {"T": 1.0, "n_paths": 1}, "parameters.n_paths"),
+        ("lyapunov", {"T": 1.0, "n_paths": 10, "dt": 0}, "parameters.dt"),
+        ("lyapunov", {"T": -1, "n_paths": 10}, "parameters.T"),
+        ("invariant_measure", {"h": 0.2, "n_steps": 10, "burn_in": 10,
+                               "n_chains": 4}, "parameters.n_steps"),
+        ("invariant_measure", {"h": -0.2, "n_steps": 30, "burn_in": 10,
+                               "n_chains": 4}, "parameters.h"),
+        ("simulate", {"T": 1.0, "dt": 2.0}, "parameters.T"),
+        ("lyapunov", {"T": 1.0, "n_paths": 10, "F": {"kind": "entry", "i": 0, "j": 0}},
+         "parameters.F.kind"),
+        ("berry_esseen", {"t_grid": [1.0, 2.0], "n_paths": 10, "F": {"kind": "op_norm"}},
+         "parameters.F.kind"),
+        ("clt", {"T": float("nan"), "n_paths": 10}, "parameters.T"),
+        ("ip_certify", {"search_depth": -3}, "parameters.search_depth"),
     ], ids=["generator_check_x", "invariant_measure_dt", "vector_norm_y",
-            "entry_index", "entry_fractional_index", "abs_inner_z", "mixing_zero_u"])
+            "entry_index", "entry_fractional_index", "abs_inner_z", "mixing_zero_u",
+            "lyapunov_no_paths", "mixing_one_path", "clt_one_path", "lyapunov_zero_dt",
+            "lyapunov_negative_T", "invariant_measure_burn_in", "invariant_measure_h",
+            "simulate_dt_above_T", "lyapunov_entry_kind", "berry_esseen_op_norm_kind",
+            "clt_nan_T", "ip_certify_search_depth"])
     def test_bad_parameter_exit_two_names_key(self, tmp_path, capsys, experiment,
                                               parameters, key):
         doc = {"triplet": "standard_brownian(2)", "experiment": experiment,

@@ -163,6 +163,17 @@ def test_vectors_and_matrices_give_the_same_states(triplet):
         assert np.all(np.linalg.norm(x - raw, axis=(-2, -1)) <= 1e-12 * frob)
 
 
+@pytest.mark.parametrize("T, n_paths, dt", [(0.0, 5, 0.1), (-1.0, 5, 0.1),
+                                             (1.0, 0, 0.1), (1.0, 5, 0.0),
+                                             (1.0, 5, -0.1)],
+                         ids=["zero_T", "negative_T", "no_paths", "zero_dt", "negative_dt"])
+def test_out_of_range_runs_raise(T, n_paths, dt):
+    for run in (lambda: _engine.evolve_vectors(MIXED, [1.0, 0.0], T, n_paths, 0, [0.0], dt),
+                lambda: _engine.evolve_matrices(MIXED, T, n_paths, 0, [0.0], dt)):
+        with pytest.raises(ValueError, match="need T > 0"):
+            run()
+
+
 class TestRowProducts:
     @pytest.mark.parametrize("triplet", [MIXED, GAUSSIAN_TRIPLETS["sb2_with_drift"]],
                              ids=["gaussian_and_jumps", "gaussian_only"])

@@ -1,9 +1,11 @@
-"""Property tests: the batched generator against its per-atom definition,
-and the batched engine against a per-path product loop."""
+"""Property tests: the batched generator and the triplet's atom arrays
+against their per-atom definitions, and the batched engine against a
+per-path product loop."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,13 +15,18 @@ from levyflow._linalg import fro_norm
 from levyflow.cli import _gauss_bump
 
 
+def _atom_rates(triplet):
+    """(rate * p_i, a_i) per atom, read from the jump spec itself."""
+    return [(triplet.jumps.rate * p, a) for p, a in triplet.jumps.atoms]
+
+
 def _generator_per_atom(triplet, f, x):
     """A_X f(x) with one f.value call per atom, and the sum of the absolute
     values of its terms (the scale its rounding error is measured against)."""
     d = triplet.d
     g = f.grad(x)
     ell = x @ triplet.gamma
-    for r, a in triplet.jumps.atom_rates():
+    for r, a in _atom_rates(triplet):
         xa = x @ a
         ell = ell + r * xa * (float(fro_norm(xa) <= 1.0) - float(fro_norm(a) <= 1.0))
     total = float(np.einsum("ij,ij->", ell, g))
@@ -31,7 +38,7 @@ def _generator_per_atom(triplet, f, x):
         total += diffusion
         scale += abs(diffusion)
     fx = f.value(x)
-    for r, a in triplet.jumps.atom_rates():
+    for r, a in _atom_rates(triplet):
         xa = x @ a
         term = f.value(x + xa) - fx
         if fro_norm(xa) <= 1.0:
@@ -70,6 +77,57 @@ def test_generator_apply_matches_per_atom_sum(case):
     want, scale = _generator_per_atom(triplet, bump, x)
     got = lf.generator_apply(triplet, bump, x)
     assert abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_cases())
+def test_atom_reductions_match_per_atom_loops(case):
+    """jump_compensator, mean_l1, the log-determinant triplet and the SL(d)
+    jump condition, each against one loop over the atoms."""
+    triplet = case[0]
+    d, eye = triplet.d, np.eye(triplet.d)
+    pairs = _atom_rates(triplet)
+    np.testing.assert_array_equal(triplet.rates, [r for r, _ in pairs])
+    np.testing.assert_array_equal(triplet.marks, [a for _, a in pairs])
+    s2 = sum(triplet.sigma[n * d + m, m * d + n] for m in range(d) for n in range(d))
+    base = float(np.trace(triplet.gamma)) - 0.5 * s2
+    comp, jump_mean, gamma_d, mean, nu = np.zeros((d, d)), np.zeros((d, d)), base, base, []
+    scale = 1.0 + abs(base)
+    unimodular = True
+    for r, a in pairs:
+        small = fro_norm(a) <= 1.0
+        if small:
+            comp = comp + r * a
+        jump_mean = jump_mean + r * a
+        sign, v = np.linalg.slogdet(eye + a)
+        assert sign != 0.0
+        gamma_d += r * (v * (abs(v) <= 1.0) - np.trace(a) * small)
+        mean += r * (v - np.trace(a) * small)
+        if v != 0.0:
+            nu.append((r, v))
+        scale += r * (abs(v) + abs(np.trace(a)) + fro_norm(a))
+        unimodular &= abs(np.linalg.det(eye + a) - 1.0) <= 1e-12
+    tol = 1e-12 * scale
+    assert np.max(np.abs(triplet.jump_compensator() - comp)) <= tol
+    assert np.max(np.abs(triplet.mean_l1() - (triplet.drift() + jump_mean))) <= tol
+    ct = lf.check_characteristics(triplet)
+    assert abs(ct.gamma_D - gamma_d) <= tol and abs(ct.mean - mean) <= tol
+    assert len(ct.nu_D) == len(nu)
+    assert np.max(np.abs(np.subtract(ct.nu_D, nu)), initial=0.0) <= tol
+    assert ("jump-det" in lf.sl_membership(triplet)[1]) == (not unimodular)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_atom_arrays_are_read_only_and_empty_without_atoms(d):
+    bare = lf.MatrixLevyTriplet(d=d, sigma=np.eye(d * d), gamma=np.zeros((d, d)))
+    assert bare.marks.shape == (0, d, d) and bare.rates.shape == (0,)
+    jumps = lf.JumpSpec(rate=2.0, atoms=((1.0, 0.5 * np.eye(d)),))
+    full = lf.MatrixLevyTriplet(d=d, sigma=np.eye(d * d), gamma=np.zeros((d, d)),
+                                jumps=jumps)
+    for triplet in (bare, full):
+        for arr in (triplet.marks, triplet.rates, triplet.brownian_factor):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -162,3 +220,14 @@ def test_engine_matches_per_path_products(case):
         _assert_matches(lambda: _engine.evolve_matrices(triplet, t, n_paths, seed, times, dt,
                                                         renormalize),
                         x, scale[..., None] * np.sqrt(triplet.d))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_engine_cases())
+def test_brownian_factor_reproduces_sigma(case):
+    """sum_r G[m, j, r] G[n, l, r] = sigma[(j*d+m), (l*d+n)]."""
+    triplet = case[0]
+    d, g = triplet.d, triplet.brownian_factor
+    assert g.shape == (d, d, d * d)
+    got = np.einsum("mjr,nlr->jmln", g, g).reshape(d * d, d * d)
+    assert np.max(np.abs(got - triplet.sigma)) <= 1e-12 * max(1.0, np.max(np.abs(triplet.sigma)))
