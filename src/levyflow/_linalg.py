@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "op_norm", "fro_norm", "psd_factor", "log_abs_det",
-    "grid_indices", "expm_family",
+    "op_norm", "fro_norm", "psd_factor", "grid_indices", "expm_family",
 ]
 
 
@@ -37,12 +36,6 @@ def psd_factor(sigma: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(np.asarray(sigma, dtype=float))
     w = np.clip(w, 0.0, None)
     return v * np.sqrt(w)
-
-
-def log_abs_det(a: np.ndarray) -> tuple[float, float]:
-    """(sign, log|det a|) via pivoted LU; safe against overflow/underflow."""
-    sign, logabs = np.linalg.slogdet(a)
-    return float(sign), float(logabs)
 
 
 def grid_indices(grid: np.ndarray, times) -> np.ndarray:

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import path_sampler
 from .geometry import SmoothFunction, generator_mc_check, ip_certify
-from .levy_model import (MatrixLevyTriplet, UnknownName, builtin_triplet,
-                         triplet_from_config, triplet_to_config, validate)
+from .levy_model import (MatrixLevyTriplet, builtin_triplet, triplet_from_config,
+                         triplet_to_config, validate)
 from .limits import FunctionalSpec, berry_esseen_curve, clt_diagnostic, lyapunov_estimate
 from .determinant import check_characteristics, det_closed_form, sl_membership
 from .path_sampler import (emery_exponential, exact_cpp_exponential,
@@ -319,6 +319,8 @@ def _run_clt(triplet, params, seed):
 
 def _run_berry_esseen(triplet, params, seed):
     t_grid = _param(params, "t_grid", list, above=0.0)
+    if len(set(t_grid)) < 2:
+        raise ConfigError("parameters.t_grid", "needs two or more distinct horizons")
     n_paths = _param(params, "n_paths", int, least=2)
     dt = _param(params, "dt", float, default=0.05, above=0.0)
     spec = params.get("F", {"kind": "vector_norm", "y": list(np.eye(triplet.d)[0])})
@@ -435,17 +437,23 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 # -- scenario plumbing ----------------------------------------------------------
 
-def _parse_scenario(config_path, seed=None, out_dir=None, experiment=None) -> Scenario:
-    path = Path(config_path)
+def _read_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; a missing file, invalid JSON
+    or a top level that is not an object raises ``ConfigError`` naming the
+    file (``what`` names its role in the not-found message)."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise ConfigError(str(config_path), "config file not found") from None
+        raise ConfigError(str(path), f"{what} file not found") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(str(config_path), f"invalid JSON: {exc}") from None
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(str(config_path), "top level must be an object")
+        raise ConfigError(str(path), "top level must be an object")
+    return doc
 
+
+def _parse_scenario(config_path, seed=None, out_dir=None, experiment=None) -> Scenario:
+    doc = _read_json(config_path, "config")
     exp = doc.get("experiment", experiment)
     if exp is None:
         raise ConfigError("experiment", "missing required key")
@@ -458,18 +466,11 @@ def _parse_scenario(config_path, seed=None, out_dir=None, experiment=None) -> Sc
     if "triplet" not in doc:
         raise ConfigError("triplet", "missing required key")
     tdoc = doc["triplet"]
+    if not isinstance(tdoc, (str, dict)):
+        raise ConfigError("triplet", "expected a builtin name or an object")
     try:
-        if isinstance(tdoc, str):
-            triplet = builtin_triplet(tdoc)
-        elif isinstance(tdoc, dict):
-            triplet = triplet_from_config(tdoc)
-        else:
-            raise ConfigError("triplet", "expected a builtin name or an object")
-    except UnknownName as exc:
-        raise ConfigError("triplet", str(exc)) from None
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        triplet = builtin_triplet(tdoc) if isinstance(tdoc, str) else triplet_from_config(tdoc)
+    except (KeyError, TypeError, ValueError) as exc:  # UnknownName is a ValueError
         raise ConfigError("triplet", str(exc)) from None
 
     report = validate(triplet)
@@ -539,14 +540,7 @@ def load_manifest(path) -> RunManifest:
     missing or wrongly typed field, raises ``ConfigError`` naming the file
     and the field."""
     p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ConfigError(str(p), "manifest file not found") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(p), f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(str(p), "top level must be an object")
+    doc = _read_json(p, "manifest")
     for f in fields(RunManifest):
         if f.name not in doc and f.name != "output_dir":
             raise ConfigError(f"{p}: {f.name}", "missing required key")

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import log_abs_det
-from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
+from .levy_model import MatrixLevyTriplet, SingularJump
 from .path_sampler import LevyPath
 
 __all__ = [
@@ -72,17 +71,15 @@ def check_characteristics(triplet: MatrixLevyTriplet) -> CheckTriplet:
 def det_log_series(path: LevyPath, triplet: MatrixLevyTriplet):
     """(t, log|D_t|, sign(D_t)) at every grid point of the path."""
     d = path.d
-    eye = np.eye(d)
     s2 = _s2(triplet.sigma, d)
     n = len(path.grid)
     tr = np.zeros(n)
     tr[1:] = np.cumsum(np.trace(path.increments, axis1=1, axis2=2))
     logabs = tr - 0.5 * s2 * path.grid
     sign = np.ones(n)
-    for k, (_, a) in zip(path.jump_index.tolist(), path.jumps):
-        s, la = log_abs_det(eye + a)
-        if s == 0.0 or la <= np.log(DET_TOL):
-            raise SingularJump(f"jump at t={path.grid[k]} makes det(I + dL) vanish")
+    # added jump by jump, not by a cumsum, which would reassociate the sums
+    signs, logdets = np.linalg.slogdet(np.eye(d) + path.marks)
+    for k, s, la in zip(path.jump_index.tolist(), signs.tolist(), logdets.tolist()):
         logabs[k:] += la
         sign[k:] *= s
     return path.grid.copy(), logabs, sign

@@ -1,23 +1,24 @@
 """Sampling of matrix Levy paths and their stochastic exponentials.
 
-A path of the driving process L is stored as a grid of times, the continuous
-(drift + Brownian) increment per grid cell, and a time-sorted list of jump
-marks.  Jump times are always grid points: the sampler merges them into the
-uniform grid, and hand-built paths must do the same.  The exponential walkers
-apply one multiplicative factor per cell and then, at grid points carrying
-jumps, the exact factors (I + mark) in list order.
+A path of the driving process L is a grid of times, the continuous (drift +
+Brownian) increment per cell, and time-sorted jumps whose marks it stacks once,
+checking det(I + mark) != 0.  Jump times are grid points: the sampler merges
+them into the uniform grid, and hand-built paths must do the same.  The
+exponential walkers form one time-ordered product: each cell's factor, then at
+a grid point carrying jumps their exact factors (I + mark) in list order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import _engine
-from ._linalg import expm_family, grid_indices, op_norm
-from .levy_model import DET_TOL, MatrixLevyTriplet
+from ._linalg import expm_family, grid_indices
+from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
 
 __all__ = [
     "LevyPath", "ExpPath", "MeanCheckReport",
@@ -37,7 +38,7 @@ class HasGaussianPart(ValueError):
 
 
 class SingularFactor(ArithmeticError):
-    """A multiplicative factor (I + increment) is numerically singular."""
+    """An Emery cell factor (I + increment) is numerically singular."""
 
 
 class SingularState(ArithmeticError):
@@ -55,13 +56,15 @@ class LevyPath:
     ``grid`` is strictly increasing with grid[0] = 0; every jump time must be
     a grid point in (0, T].  ``increments[c]`` is the drift+Brownian part of
     the increment over (grid[c], grid[c+1]].  ``jumps`` is time-sorted
-    (time, mark) with det(I + mark) != 0.  The read-only ``jump_index[k]``
-    is the grid index of jump k.
+    (time, mark), whose marks are the rows of the read-only ``marks``
+    (k, d, d); |det(I + mark)| <= DET_TOL raises ``SingularJump``.  The
+    read-only ``jump_index[k]`` is the grid index of jump k.
     """
 
     grid: np.ndarray
     increments: np.ndarray
     jumps: tuple[tuple[float, np.ndarray], ...] = ()
+    marks: np.ndarray = field(init=False, repr=False)
     jump_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -77,9 +80,19 @@ class LevyPath:
         inc = inc.copy(); inc.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "increments", inc)
-        jumps = tuple((float(t), np.asarray(a, dtype=float)) for t, a in self.jumps)
-        object.__setattr__(self, "jumps", jumps)
-        _set_jump_index(self, [t for t, _ in jumps])
+        d = inc.shape[1]
+        times = [float(t) for t, _ in self.jumps]
+        marks = np.array([a for _, a in self.jumps] or np.empty((0, d, d)), dtype=float)
+        if marks.shape[1:] != (d, d):
+            raise ValueError("jump marks must have shape (d, d)")
+        marks.setflags(write=False)
+        singular = np.abs(np.linalg.det(np.eye(d) + marks)) <= DET_TOL
+        if singular.any():
+            raise SingularJump(f"jump at t={times[np.argmax(singular)]}: "
+                               f"|det(I + mark)| <= {DET_TOL}")
+        object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "jumps", tuple(zip(times, marks)))
+        _set_jump_index(self, times)
 
     @property
     def d(self) -> int:
@@ -94,7 +107,7 @@ class LevyPath:
         n = len(self.grid)
         vals = np.zeros((n, self.d, self.d))
         vals[1:] = np.cumsum(self.increments, axis=0)
-        for k, (_, a) in zip(self.jump_index.tolist(), self.jumps):
+        for k, a in zip(self.jump_index.tolist(), self.marks):
             vals[k:] += a
         return vals
 
@@ -177,30 +190,17 @@ def _set_jump_index(path: LevyPath | ExpPath, times) -> None:
 
 
 def _walk(path: LevyPath, cell_factors, method: str) -> ExpPath:
-    """Multiply out cell factors and jump factors along the grid."""
-    n = len(path.grid)
-    d = path.d
-    eye = np.eye(d)
-    idx = path.jump_index
-    # the jumps at grid point c + 1 are bounds[c] .. bounds[c + 1] - 1
-    bounds = np.searchsorted(idx, np.arange(1, n + 1)).tolist()
-    X = np.empty((n, d, d))
-    X[0] = eye
-    jump_pre = np.empty((len(idx), d, d))
-    jump_post = np.empty((len(idx), d, d))
-    cur = X[0]
-    for c in range(n - 1):
-        cur = cur @ cell_factors[c]
-        for j in range(bounds[c], bounds[c + 1]):
-            g = eye + path.jumps[j][1]
-            if abs(np.linalg.det(g)) <= DET_TOL:
-                raise SingularFactor(f"jump at t={path.grid[c + 1]}: det(I + mark) vanishes")
-            jump_pre[j] = cur
-            cur = cur @ g
-            jump_post[j] = cur
-        X[c + 1] = cur
-    return ExpPath(grid=path.grid, X=X, method=method, jump_times=path.grid[idx],
-                   jump_pre=jump_pre, jump_post=jump_post)
+    """Multiply out the time-ordered factors, cell c's then those of the jumps
+    at grid point c + 1: jump k is factor jump_index[k] + k, and P[m] the
+    product of the first m."""
+    idx, eye = path.jump_index, np.eye(path.d)
+    factors = np.insert(cell_factors, idx, eye + path.marks, axis=0)
+    P = np.fromiter(accumulate(factors, np.matmul, initial=eye), (float, eye.shape),
+                    len(factors) + 1)
+    g = np.arange(len(path.grid))
+    at = idx + np.arange(len(idx))
+    return ExpPath(grid=path.grid, X=P[g + np.searchsorted(idx, g, "right")], method=method,
+                   jump_times=path.grid[idx], jump_pre=P[at], jump_post=P[at + 1])
 
 
 # -- operations ----------------------------------------------------------------
@@ -311,7 +311,7 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
     exact product when ``triplet`` (with sigma = 0) is supplied, otherwise
     the Emery product.
     """
-    is_big = np.array([op_norm(a) >= eps for _, a in path.jumps], dtype=bool)
+    is_big = np.linalg.norm(path.marks, 2, axis=(1, 2)) >= eps
     idx = path.jump_index
     follows = is_big[:-1] & ~is_big[1:] & (idx[:-1] == idx[1:])
     if follows.any():
@@ -324,10 +324,10 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
     else:
         X = emery_exponential(trunc).X
 
-    big = [(k, a) for k, (_, a), b in zip(idx.tolist(), path.jumps, is_big) if b]
-    ends = [k for k, _ in big] + [len(path.grid) - 1]
+    big = idx[is_big].tolist()
+    ends = big + [len(path.grid) - 1]
     total = np.linalg.solve(X[0], X[ends[0]])
-    for (k, a), end in zip(big, ends[1:]):
+    for k, a, end in zip(big, path.marks[is_big], ends[1:]):
         total = total @ (np.eye(path.d) + a) @ np.linalg.solve(X[k], X[end])
     return total
 

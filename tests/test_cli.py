@@ -222,12 +222,15 @@ class TestMain:
          "parameters.F.kind"),
         ("clt", {"T": float("nan"), "n_paths": 10}, "parameters.T"),
         ("ip_certify", {"search_depth": -3}, "parameters.search_depth"),
+        ("berry_esseen", {"t_grid": [1.0], "n_paths": 200}, "parameters.t_grid"),
+        ("berry_esseen", {"t_grid": [1.0, 1.0], "n_paths": 200}, "parameters.t_grid"),
     ], ids=["generator_check_x", "invariant_measure_dt", "vector_norm_y",
             "entry_index", "entry_fractional_index", "abs_inner_z", "mixing_zero_u",
             "lyapunov_no_paths", "mixing_one_path", "clt_one_path", "lyapunov_zero_dt",
             "lyapunov_negative_T", "invariant_measure_burn_in", "invariant_measure_h",
             "simulate_dt_above_T", "lyapunov_entry_kind", "berry_esseen_op_norm_kind",
-            "clt_nan_T", "ip_certify_search_depth"])
+            "clt_nan_T", "ip_certify_search_depth", "berry_esseen_one_horizon",
+            "berry_esseen_repeated_horizon"])
     def test_bad_parameter_exit_two_names_key(self, tmp_path, capsys, experiment,
                                               parameters, key):
         doc = {"triplet": "standard_brownian(2)", "experiment": experiment,
@@ -236,6 +239,18 @@ class TestMain:
         cfg = _write_config(tmp_path, doc)
         assert cli.main([experiment, "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, '{"triplet": ', '[1, 2]'],
+                             ids=["missing_file", "invalid_json", "top_level_list"])
+    @pytest.mark.parametrize("reader", ["config", "manifest"])
+    def test_unreadable_json_exit_two_names_file(self, tmp_path, capsys, reader, text):
+        path = tmp_path / f"{reader}.json"
+        if text is not None:
+            path.write_text(text)
+        argv = (["simulate", "--config", str(path)] if reader == "config"
+                else ["report", str(path)])
+        assert cli.main(argv) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = _simulate_config(tmp_path)
@@ -282,7 +297,7 @@ class TestReport:
         doc = {
             "triplet": "gbm1(0.1, 0.2)",
             "experiment": "berry_esseen",
-            "parameters": {"t_grid": [2.0], "n_paths": 200, "seed": 5},
+            "parameters": {"t_grid": [2.0, 4.0], "n_paths": 200, "seed": 5},
             "output_dir": str(tmp_path / "be"),
         }
         m2 = cli.run_scenario(_write_config(tmp_path, doc, name="c2.json"))
@@ -301,7 +316,7 @@ class TestReport:
         doc = {
             "triplet": "gbm1(0.1, 0.2)",
             "experiment": "berry_esseen",
-            "parameters": {"t_grid": [2.0], "n_paths": 200, "seed": 5},
+            "parameters": {"t_grid": [2.0, 4.0], "n_paths": 200, "seed": 5},
             "output_dir": str(tmp_path / "be"),
         }
         cli.run_scenario(_write_config(tmp_path, doc, name="c2.json"))

@@ -86,10 +86,10 @@ class TestLogSeries:
         assert rows[0, 1] == pytest.approx(1.0)
 
     def test_singular_jump_rejected(self):
-        path = lf.LevyPath(grid=[0.0, 1.0], increments=[np.zeros((2, 2))],
-                           jumps=((1.0, np.diag([-1.0 + 1e-16, 0.0])),))
+        # the path itself refuses the jump, before any series is formed
         with pytest.raises(lf.SingularJump):
-            lf.det_log_series(path, ROT)
+            lf.LevyPath(grid=[0.0, 1.0], increments=[np.zeros((2, 2))],
+                        jumps=((1.0, np.diag([-1.0 + 1e-16, 0.0])),))
 
 
 class TestCltParams:

@@ -80,6 +80,38 @@ class TestSampling:
                        method="hand", jump_times=np.array([1.0, 0.5]),
                        jump_pre=np.array([eye, eye]), jump_post=np.array([post, post]))
 
+    def test_singular_jump_rejected_on_construction(self):
+        ok, bad = 0.5 * np.eye(2), np.diag([-1.0, 0.5])
+        with pytest.raises(lf.SingularJump, match="t=0.75"):
+            lf.LevyPath(grid=[0.0, 0.5, 0.75, 1.0], increments=np.zeros((3, 2, 2)),
+                        jumps=((0.5, ok), (0.75, bad), (1.0, bad)))
+
+    def test_sampler_rejects_singular_atom_of_unvalidated_triplet(self):
+        jumps = lf.JumpSpec(rate=5.0, atoms=((1.0, -np.eye(2)),))
+        trip = lf.MatrixLevyTriplet(d=2, sigma=np.zeros((4, 4)), gamma=np.zeros((2, 2)),
+                                    jumps=jumps)
+        assert "nonsingular-jump" in lf.validate(trip).rules()
+        with pytest.raises(lf.SingularJump):
+            lf.sample_levy_path(trip, T=2.0, dt=0.5, seed=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_marks_are_one_read_only_stack(self, d):
+        grid, inc = [0.0, 0.5, 1.0], np.zeros((2, d, d))
+        bare = lf.LevyPath(grid=grid, increments=inc)
+        assert bare.marks.shape == (0, d, d)
+        a, b = 0.5 * np.eye(d), np.full((d, d), 0.1)
+        path = lf.LevyPath(grid=grid, increments=inc, jumps=((0.5, a), (0.5, b), (1.0, a)))
+        assert path.marks.shape == (3, d, d)
+        np.testing.assert_array_equal(path.marks, [a, b, a])
+        for (t, m), row in zip(path.jumps, path.marks):
+            assert isinstance(t, float)
+            np.testing.assert_array_equal(m, row)
+        for arr in (bare.marks, path.marks, path.jumps[0][1]):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        with pytest.raises(ValueError, match="shape"):
+            lf.LevyPath(grid=grid, increments=inc, jumps=((0.5, np.ones(d * d + 1)),))
+
 
 class TestCoarsen:
     def test_totals_and_jumps_preserved(self):

@@ -1,6 +1,7 @@
 """Property tests: the batched generator and the triplet's atom arrays
-against their per-atom definitions, and the batched engine against a
-per-path product loop."""
+against their per-atom definitions, the batched engine against a per-path
+product loop, and the path walkers, log-determinant series, reconstruction
+and stochastic logarithm against direct products."""
 
 from __future__ import annotations
 
@@ -231,3 +232,108 @@ def test_brownian_factor_reproduces_sigma(case):
     assert g.shape == (d, d, d * d)
     got = np.einsum("mjr,nlr->jmln", g, g).reshape(d * d, d * d)
     assert np.max(np.abs(got - triplet.sigma)) <= 1e-12 * max(1.0, np.max(np.abs(triplet.sigma)))
+
+
+@st.composite
+def _path_cases(draw):
+    """A hand-built path (d in {1, 2, 3}, 1-8 random cells, 0-6 jumps, some
+    sharing a grid point) with small Emery increments, a drift gamma and a
+    truncation level.  A jump is either a mark of norm at most 0.5 or one
+    that flips a direction, -(1 + r) u u^T, so det(I + mark) takes both
+    signs.  Every factor has condition number at most 3, so a product of all
+    of them stays well conditioned."""
+    d = draw(st.integers(1, 3))
+    mat = lambda shape, lo, hi: arrays(np.float64, shape, elements=st.floats(lo, hi))
+    n = draw(st.integers(1, 8))
+    grid = np.concatenate([[0.0], np.cumsum(draw(mat((n,), 0.02, 0.125)))])
+    at = sorted(draw(st.lists(st.integers(1, n), max_size=6)))
+    shapes = draw(mat((len(at), d, d), -1.0, 1.0).filter(
+        lambda a: np.all(np.linalg.norm(a, 2, axis=(1, 2)) > 0.1)))
+    sizes = draw(mat((len(at),), 0.01, 0.5))
+    marks = sizes[:, None, None] * shapes / np.linalg.norm(shapes, 2, axis=(1, 2))[:, None, None]
+    u = draw(mat((len(at), d), -1.0, 1.0).filter(
+        lambda u: np.all(np.linalg.norm(u, axis=1) > 0.1)))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    flips = -(1.0 + draw(mat((len(at),), 0.5, 2.0)))[:, None, None] * u[:, :, None] * u[:, None, :]
+    marks = np.where(draw(mat((len(at),), 0.0, 1.0))[:, None, None] < 0.3, flips, marks)
+    jumps = tuple((float(grid[k]), a) for k, a in zip(at, marks))
+    noise = lf.LevyPath(grid=grid, increments=draw(mat((n, d, d), -0.1, 0.1)), jumps=jumps)
+    gamma = draw(mat((d, d), -0.5, 0.5))
+    drift = lf.LevyPath(grid=grid, increments=np.diff(grid)[:, None, None] * gamma,
+                        jumps=jumps)
+    return noise, drift, _drift_only(gamma), draw(st.floats(0.01, 1.0))
+
+
+def _drift_only(gamma):
+    d = gamma.shape[0]
+    return lf.MatrixLevyTriplet(d=d, sigma=np.zeros((d * d, d * d)), gamma=gamma,
+                                drift0=gamma)
+
+
+def _reference_walk(path, cell_factors):
+    """X, jump_pre and jump_post by the nested loop: each cell's factor, then
+    the factors of the jumps at the cell's right end, in list order."""
+    d = path.d
+    eye = np.eye(d)
+    cur, xs, pre, post = eye, [eye], [], []
+    for c in range(len(path.grid) - 1):
+        cur = cur @ cell_factors[c]
+        for t, a in path.jumps:
+            if t == path.grid[c + 1]:
+                pre.append(cur)
+                cur = cur @ (eye + a)
+                post.append(cur)
+        xs.append(cur)
+    return (np.array(xs), np.array(pre).reshape(-1, d, d),
+            np.array(post).reshape(-1, d, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_path_cases())
+def test_walk_equals_nested_loop_reference(case):
+    noise = case[0]
+    ep = lf.emery_exponential(noise)
+    X, pre, post = _reference_walk(noise, np.eye(noise.d) + noise.increments)
+    np.testing.assert_array_equal(ep.X, X)
+    np.testing.assert_array_equal(ep.jump_pre, pre)
+    np.testing.assert_array_equal(ep.jump_post, post)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_path_cases())
+def test_det_log_series_is_slogdet_of_the_walk(case):
+    _, drift, triplet, _ = case
+    sign, logabs = np.linalg.slogdet(lf.exact_cpp_exponential(drift, triplet).X)
+    t, got_logabs, got_sign = lf.det_log_series(drift, triplet)
+    np.testing.assert_array_equal(t, drift.grid)
+    np.testing.assert_array_equal(got_sign, sign)
+    assert np.all(np.abs(got_logabs - logabs) <= 1e-9 * np.maximum(1.0, np.abs(logabs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_path_cases())
+def test_reconstruction_equals_direct_product(case):
+    noise, drift, triplet, eps = case
+    for path, trip, direct in ((noise, None, lf.emery_exponential(noise).X[-1]),
+                               (drift, triplet,
+                                lf.exact_cpp_exponential(drift, triplet).X[-1])):
+        is_big = [np.linalg.norm(a, 2) >= eps for _, a in path.jumps]
+        at = path.jump_index
+        if any(b and not b2 and at[k] == at[k + 1]
+               for k, (b, b2) in enumerate(zip(is_big, is_big[1:]))):
+            with pytest.raises(ValueError, match="small jump follows"):
+                lf.skorokhod_reconstruct(path, eps, triplet=trip)
+            continue
+        got = lf.skorokhod_reconstruct(path, eps, triplet=trip)
+        assert np.linalg.norm(got - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_path_cases())
+def test_logarithm_inverts_emery_exponential(case):
+    noise = case[0]
+    back = lf.stochastic_logarithm(lf.emery_exponential(noise))
+    np.testing.assert_array_equal(back.grid, noise.grid)
+    np.testing.assert_array_equal(back.jump_index, noise.jump_index)
+    np.testing.assert_allclose(back.increments, noise.increments, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(back.marks, noise.marks, rtol=0, atol=1e-10)
