@@ -12,8 +12,13 @@ import math
 import numpy as np
 
 __all__ = [
-    "op_norm", "fro_norm", "psd_factor", "grid_indices", "expm_family",
+    "op_norm", "fro_norm", "psd_factor", "OffGrid", "grid_indices", "line_fit",
+    "expm_family",
 ]
+
+
+class OffGrid(ValueError):
+    """A requested time is not a point of the time grid."""
 
 
 def op_norm(a: np.ndarray) -> float:
@@ -42,7 +47,7 @@ def grid_indices(grid: np.ndarray, times) -> np.ndarray:
     """Index of the nearest point of the increasing ``grid`` for each time.
 
     A time farther than 1e-9 * max(1, grid[-1]) from every grid point, or
-    NaN, raises ``ValueError``.
+    NaN, raises ``OffGrid``.
     """
     grid = np.asarray(grid, dtype=float)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -52,8 +57,21 @@ def grid_indices(grid: np.ndarray, times) -> np.ndarray:
     k -= times - grid[k - 1] < grid[k] - times
     off = ~(np.abs(grid[k] - times) <= 1e-9 * max(1.0, float(grid[-1])))
     if off.any():
-        raise ValueError(f"time {times[off][0]} is not a grid point")
+        raise OffGrid(f"time {times[off][0]} is not a grid point")
     return k
+
+
+def line_fit(x, y) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the least-squares line through the points
+    of the float arrays (x, y); all three are NaN when x has fewer than two
+    distinct values."""
+    if np.unique(x).size < 2:
+        return np.nan, np.nan, np.nan
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    total = y - y.mean()
+    r2 = 1.0 - float((resid ** 2).sum()) / max(float((total ** 2).sum()), 1e-300)
+    return float(slope), float(intercept), r2
 
 
 def expm_family(a: np.ndarray):

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import path_sampler
+from ._linalg import OffGrid
 from .geometry import SmoothFunction, generator_mc_check, ip_certify
 from .levy_model import (MatrixLevyTriplet, builtin_triplet, triplet_from_config,
                          triplet_to_config, validate)
@@ -288,15 +289,26 @@ def _run_determinant(triplet, params, seed):
     return summary, ["t", "det_closed_form", "det_state", "abs_err"], rows
 
 
+def _one_row(summary: dict):
+    """A scalar experiment's outputs: its summary, and the same as one CSV row."""
+    return summary, list(summary), [list(summary.values())]
+
+
+def _horizons(params: dict) -> list:
+    """parameters.t_grid: two or more distinct positive horizons."""
+    t_grid = _param(params, "t_grid", list, above=0.0)
+    if len(set(t_grid)) < 2:
+        raise ConfigError("parameters.t_grid", "needs two or more distinct horizons")
+    return t_grid
+
+
 def _run_lyapunov(triplet, params, seed):
     T = _param(params, "T", float, above=0.0)
     n_paths = _param(params, "n_paths", int, least=2)
     dt = _param(params, "dt", float, default=0.05, above=0.0)
     F = _functional(params, triplet.d, ("op_norm", "vector_norm"))
     lam, se = lyapunov_estimate(triplet, F, T, n_paths, seed, dt=dt)
-    summary = {"lambda_hat": lam, "lambda_se": se, "T": T, "n_paths": n_paths}
-    rows = [[lam, se, T, n_paths]]
-    return summary, ["lambda_hat", "lambda_se", "T", "n_paths"], rows
+    return _one_row({"lambda_hat": lam, "lambda_se": se, "T": T, "n_paths": n_paths})
 
 
 def _run_clt(triplet, params, seed):
@@ -304,23 +316,11 @@ def _run_clt(triplet, params, seed):
     n_paths = _param(params, "n_paths", int, least=2)
     dt = _param(params, "dt", float, default=0.05, above=0.0)
     F = _functional(params, triplet.d)
-    rep = clt_diagnostic(triplet, F, T, n_paths, seed, dt=dt)
-    summary = {
-        "lambda_hat": rep.lambda_hat, "lambda_se": rep.lambda_se,
-        "sigma2_hat": rep.sigma2_hat, "sigma2_se": rep.sigma2_se,
-        "ks_stat": rep.ks_stat, "ks_p": rep.ks_p, "degenerate": rep.degenerate,
-        "T": rep.T, "n_paths": rep.n_paths,
-    }
-    header = ["lambda_hat", "lambda_se", "sigma2_hat", "sigma2_se",
-              "ks_stat", "ks_p", "degenerate", "T", "n_paths"]
-    rows = [[summary[k] for k in header]]
-    return summary, header, rows
+    return _one_row(asdict(clt_diagnostic(triplet, F, T, n_paths, seed, dt=dt)))
 
 
 def _run_berry_esseen(triplet, params, seed):
-    t_grid = _param(params, "t_grid", list, above=0.0)
-    if len(set(t_grid)) < 2:
-        raise ConfigError("parameters.t_grid", "needs two or more distinct horizons")
+    t_grid = _horizons(params)
     n_paths = _param(params, "n_paths", int, least=2)
     dt = _param(params, "dt", float, default=0.05, above=0.0)
     spec = params.get("F", {"kind": "vector_norm", "y": list(np.eye(triplet.d)[0])})
@@ -328,8 +328,11 @@ def _run_berry_esseen(triplet, params, seed):
     z_grid = params.get("z_grid")
     if z_grid is not None:
         z_grid = np.asarray(_param(params, "z_grid", list), dtype=float)
-    rep = berry_esseen_curve(triplet, F, t_grid, n_paths, z_grid=z_grid,
-                             seed=seed, dt=dt)
+    try:
+        rep = berry_esseen_curve(triplet, F, t_grid, n_paths, z_grid=z_grid,
+                                 seed=seed, dt=dt)
+    except OffGrid as exc:
+        raise ConfigError("parameters.t_grid", str(exc)) from None
     rows = np.array(rep.rows, dtype=float)
     summary = {"slope": rep.slope, "intercept": rep.intercept,
                "lambda_hat": rep.lambda_hat, "sigma_hat": rep.sigma_hat}
@@ -356,7 +359,7 @@ def _run_invariant_measure(triplet, params, seed):
 
 
 def _run_mixing(triplet, params, seed):
-    t_grid = _param(params, "t_grid", list, above=0.0)
+    t_grid = _horizons(params)
     n_paths = _param(params, "n_paths", int, least=2)
     dt = _param(params, "dt", float, default=0.05, above=0.0)
     n_starts = _param(params, "n_starts", int, default=6)
@@ -368,7 +371,10 @@ def _run_mixing(triplet, params, seed):
     while len(starts) < max(n_starts, d):
         g = rng.standard_normal(d)
         starts.append(g / np.linalg.norm(g))
-    rep = mixing_rate(triplet, f, starts, t_grid, n_paths, s_engine, dt=dt)
+    try:
+        rep = mixing_rate(triplet, f, starts, t_grid, n_paths, s_engine, dt=dt)
+    except OffGrid as exc:
+        raise ConfigError("parameters.t_grid", str(exc)) from None
     rows = np.column_stack([rep.t_grid, rep.sup_diffs])
     summary = {"D_hat": rep.D_hat, "d_hat": rep.d_hat, "r2": rep.r2,
                "flagged_no_decay": rep.flagged_no_decay}

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.special import logsumexp
 
 from . import _engine
 from ._engine import DegenerateNorm
+from ._linalg import line_fit
 from .levy_model import MatrixLevyTriplet
 from .path_sampler import ExpPath
 from .projective import EmpiricalMeasure, HolderFn, _eval_lines
@@ -70,23 +72,33 @@ class FunctionalSpec:
     def abs_inner(cls, y, z) -> "FunctionalSpec":
         return cls(kind="abs_inner", y=_unit(y), z=_unit(z))
 
-    def vectors(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (y, z) pair realizing F(a) = |<y a, z>| for the inner kinds."""
+    def vectors(self, d: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (y, z) pair with F(a) = |<y a, z>|, or F(a) = ||y a|| where z
+        is None (``vector_norm``).  A y or z whose length is not d, an entry
+        index out of range, or ``op_norm`` raise ValueError."""
         if self.kind == "entry":
             if self.i >= d or self.j >= d:
                 raise ValueError(f"entry ({self.i},{self.j}) out of range for d={d}")
-            y = np.zeros(d); y[self.i] = 1.0
-            z = np.zeros(d); z[self.j] = 1.0
-            return y, z
-        if self.kind == "abs_inner":
-            return self.y, self.z
-        raise ValueError(f"kind {self.kind!r} has no (y, z) form")
+            return np.eye(d)[self.i], np.eye(d)[self.j]
+        if self.kind not in ("vector_norm", "abs_inner"):
+            raise ValueError(f"kind {self.kind!r} has no (y, z) form")
+        bad = [len(v) for v in (self.y, self.z) if v is not None and len(v) != d]
+        if bad:
+            raise ValueError(f"{self.kind} vector of length {bad[0]} does not fit d={d}")
+        return self.y, self.z
 
 
 @dataclass(frozen=True)
 class CltReport:
     """Estimated (lambda, sigma^2) with a KS normality check of the
-    standardized samples of log F(X_T).
+    standardized samples of log F(X_T).  The field order is the CLI's CSV
+    column order.
+
+    ``degenerate`` is the one degeneracy rule of the limit estimators: the
+    sample variance of log F(X_T) is below 1e-10 * T, so the statistic
+    carries no usable fluctuation (bounded-group situations).  The report
+    then has ks_stat = 1.0 and ks_p = 0.0, and ``berry_esseen_curve`` raises
+    DegenerateNorm on the same samples.
 
     ``sigma2_se`` is the Monte Carlo standard error only; it leaves out the
     O(dt) bias of the engine's product scheme (sigma^2 of log ||y X_t|| on
@@ -99,9 +111,9 @@ class CltReport:
     sigma2_se: float
     ks_stat: float
     ks_p: float
-    n_paths: int
-    T: float
     degenerate: bool
+    T: float
+    n_paths: int
 
 
 @dataclass(frozen=True)
@@ -131,26 +143,40 @@ class BerryEsseenReport:
 
 
 def _terminal_log_samples(triplet, F: FunctionalSpec, ts, n_paths, seed, dt):
-    """log F(X_t) samples at each requested time, one engine pass.
-
-    Returns (times, samples (k, n_paths), dirs) where dirs is the (k, n_paths,
-    d) array of directions of y @ X_t for the vector kinds, else None.
-    """
+    """log F(X_t) samples (k, n_paths) at each of the k requested times, from
+    one engine pass, and the (k, n_paths, d) directions of y X_t for the
+    vector kinds (None for ``op_norm``)."""
     ts = np.asarray(ts, dtype=float)
     if F.kind == "op_norm":
         _, states, logs = _engine.evolve_matrices(
             triplet, float(ts.max()), n_paths, seed, ts, dt=dt)
-    else:
-        y, z = (F.y, None) if F.kind == "vector_norm" else F.vectors(triplet.d)
-        _, states, logs = _engine.evolve_vectors(
-            triplet, y, float(ts.max()), n_paths, seed, ts, dt=dt)
-        states, logs = states[:, :, 0, :], logs[:, :, 0]
-    if F.kind == "op_norm":
-        return ts, logs + np.log(np.linalg.svd(states, compute_uv=False)[..., 0]), None
-    if F.kind == "vector_norm":
-        return ts, logs, states
-    overlap = np.abs(np.einsum("knd,d->kn", states, z))
-    return ts, logs + np.log(np.maximum(overlap, 1e-300)), states
+        return logs + np.log(np.linalg.svd(states, compute_uv=False)[..., 0]), None
+    y, z = F.vectors(triplet.d)
+    _, states, logs = _engine.evolve_vectors(
+        triplet, y, float(ts.max()), n_paths, seed, ts, dt=dt)
+    dirs, logs = states[:, :, 0, :], logs[:, :, 0]
+    if z is None:
+        return logs, dirs
+    overlap = np.abs(np.einsum("knd,d->kn", dirs, z))
+    return logs + np.log(np.maximum(overlap, 1e-300)), dirs
+
+
+def _growth(samples: np.ndarray, T: float):
+    """(lambda_hat, lambda_se, sigma2_hat, sigma2_se, sigma_hat, flat) of n
+    samples of log F(X_T): lambda_hat and sigma2_hat are their mean and
+    variance over T, each with its Monte Carlo standard error, and sigma_hat
+    = sqrt(sigma2_hat).  ``flat`` is the degeneracy rule of every limit
+    estimator: a sample variance below 1e-10 * T.  Fewer than two samples
+    raise ValueError."""
+    n = len(samples)
+    if n < 2:
+        raise ValueError(f"a variance needs two or more paths, got {n}")
+    var = float(samples.var(ddof=1))
+    sd = np.sqrt(var)
+    sigma2 = var / T
+    return (float(samples.mean() / T), float(sd / (T * np.sqrt(n))),
+            sigma2, sigma2 * float(np.sqrt(2.0 / (n - 1))),
+            float(sd / np.sqrt(T)), bool(var < 1e-10 * T))
 
 
 def lyapunov_estimate(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
@@ -158,41 +184,26 @@ def lyapunov_estimate(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
     """(lambda_hat, se): Monte Carlo mean of T^{-1} log F(X_T)."""
     if F.kind not in ("op_norm", "vector_norm"):
         raise ValueError("growth-rate estimation needs an op_norm or vector_norm functional")
-    _, samples, _ = _terminal_log_samples(triplet, F, [T], n_paths, seed, dt)
-    s = samples[0]
-    lam = float(s.mean() / T)
-    se = float(s.std(ddof=1) / (T * np.sqrt(n_paths)))
-    return lam, se
+    samples, _ = _terminal_log_samples(triplet, F, [T], n_paths, seed, dt)
+    return _growth(samples[0], T)[:2]
 
 
 def clt_diagnostic(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
                    n_paths: int, seed, dt: float = 0.05) -> CltReport:
-    """Standardize log F(X_T) by estimated (lambda, sigma) and KS-test
-    against the standard normal.
+    """KS-test log F(X_T) against the normal law N(T lambda_hat, T sigma2_hat).
 
-    When the sample variance is below 1e-10 * T the statistic carries no
-    usable fluctuation (bounded-group situations); the report then sets
-    degenerate=True with the convention ks_stat = 1.0, ks_p = 0.0.
-    ``sigma2_se`` is the Monte Carlo standard error of sigma2_hat alone: it
-    does not cover the scheme's O(dt) bias in sigma^2 (see :class:`CltReport`).
+    Degeneracy (ks_stat = 1.0, ks_p = 0.0) and the scope of ``sigma2_se``
+    are as :class:`CltReport` states.
     """
-    _, samples, _ = _terminal_log_samples(triplet, F, [T], n_paths, seed, dt)
-    s = samples[0]
-    var = float(s.var(ddof=1))
-    lam = float(s.mean() / T)
-    lam_se = float(s.std(ddof=1) / (T * np.sqrt(n_paths)))
-    sigma2 = var / T
-    sigma2_se = sigma2 * float(np.sqrt(2.0 / (n_paths - 1)))
-    if var < 1e-10 * T:
-        return CltReport(lambda_hat=lam, lambda_se=lam_se, sigma2_hat=sigma2,
-                         sigma2_se=sigma2_se, ks_stat=1.0, ks_p=0.0,
-                         n_paths=n_paths, T=float(T), degenerate=True)
-    u = (s - s.mean()) / s.std(ddof=1)
-    ks = stats.kstest(u, "norm")
+    samples, _ = _terminal_log_samples(triplet, F, [T], n_paths, seed, dt)
+    lam, lam_se, sigma2, sigma2_se, sigma, flat = _growth(samples[0], T)
+    ks_stat, ks_p = 1.0, 0.0
+    if not flat:
+        ks = stats.kstest(samples[0], "norm", args=(T * lam, sigma * np.sqrt(T)))
+        ks_stat, ks_p = float(ks.statistic), float(ks.pvalue)
     return CltReport(lambda_hat=lam, lambda_se=lam_se, sigma2_hat=sigma2,
-                     sigma2_se=sigma2_se, ks_stat=float(ks.statistic),
-                     ks_p=float(ks.pvalue), n_paths=n_paths, T=float(T),
-                     degenerate=False)
+                     sigma2_se=sigma2_se, ks_stat=ks_stat, ks_p=ks_p,
+                     degenerate=flat, T=float(T), n_paths=n_paths)
 
 
 def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float,
@@ -201,30 +212,22 @@ def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float,
 
     All exponents reuse the same log-norm samples, so empirical midpoint
     convexity holds exactly (Cauchy-Schwarz on the sample measure).
-    Derivatives at 0 come from central differences at 0.1 * max|s|.
+    Derivatives at 0 come from central differences at h = 0.1 * max|s|.
+    Means of ||X_n||^s are taken in log space (logsumexp, and SEs from weights
+    scaled by their largest), so no exponent overflows.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     ell = _terminal_log_samples(triplet, FunctionalSpec.op_norm(), [float(n)],
-                                n_paths, seed, dt)[1][0]
-
-    def lam_and_se(s: float) -> tuple[float, float]:
-        w = np.exp(s * ell)
-        m = float(w.mean())
-        lam = float(np.log(m) / n)
-        se = float(w.std(ddof=1) / (np.sqrt(n_paths) * m * n))
-        return lam, se
-
-    values = np.empty(len(s_grid))
-    ses = np.empty(len(s_grid))
-    for k, s in enumerate(s_grid):
-        values[k], ses[k] = lam_and_se(float(s))
-
+                                n_paths, seed, dt)[0][0]
     h = 0.1 * float(np.max(np.abs(s_grid))) if np.any(s_grid != 0) else 0.1
-    lp, _ = lam_and_se(h)
-    lm, _ = lam_and_se(-h)
+    log_w = np.concatenate([s_grid, [h, -h]])[:, None] * ell
+    lam = (logsumexp(log_w, axis=1) - np.log(n_paths)) / n
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    ses = w.std(axis=1, ddof=1) / (np.sqrt(n_paths) * w.mean(axis=1) * n)
+    lp, lm = lam[-2:]
     deriv1 = (lp - lm) / (2.0 * h)
     deriv2 = (lp + lm) / (h * h)  # Lambda(0) = 0 exactly
-    return MomentFunctionReport(s_grid=s_grid, values=values, ses=ses,
+    return MomentFunctionReport(s_grid=s_grid, values=lam[:-2], ses=ses[:-2],
                                 deriv1=float(deriv1), deriv2=float(deriv2),
                                 fd_step=h, n=float(n), n_paths=n_paths)
 
@@ -239,7 +242,9 @@ def berry_esseen_curve(triplet: MatrixLevyTriplet, F: FunctionalSpec, t_grid,
     Without phi: sup_z |P((log||yX_t|| - t lambda)/(sigma sqrt(t)) <= z) - Phi(z)|.
     With phi:    sup_z |E[phi(Z_t) 1{... <= z}] - pi(phi) Phi(z)|, pi(phi)
     integrated against ``measure``.  (lambda, sigma) are estimated from the
-    largest-horizon samples.
+    largest-horizon samples; where ``clt_diagnostic`` would report them
+    ``degenerate`` (variance below 1e-10 * t) this raises DegenerateNorm.
+    Slope and intercept are NaN with fewer than two distinct horizons.
     """
     if F.kind != "vector_norm":
         raise ValueError("the joint statistic is defined for vector_norm functionals")
@@ -251,17 +256,15 @@ def berry_esseen_curve(triplet: MatrixLevyTriplet, F: FunctionalSpec, t_grid,
         z_grid = np.linspace(-3.0, 3.0, 121)
     z_grid = np.asarray(z_grid, dtype=float)
 
-    ts, samples, dirs = _terminal_log_samples(triplet, F, t_grid, n_paths, seed, dt)
-    ell_last = samples[-1]
-    lam = float(ell_last.mean() / ts[-1])
-    sigma = float(ell_last.std(ddof=1) / np.sqrt(ts[-1]))
-    if sigma < 1e-12:
-        raise DegenerateNorm("no fluctuation in log ||y X_t||; sigma estimate vanished")
+    samples, dirs = _terminal_log_samples(triplet, F, t_grid, n_paths, seed, dt)
+    lam, _, _, _, sigma, flat = _growth(samples[-1], t_grid[-1])
+    if flat:
+        raise DegenerateNorm("no fluctuation in log ||y X_t||: variance below 1e-10 t")
     pi_phi = measure.integrate(phi.eval) if phi is not None else None
 
     phi_cdf = stats.norm.cdf(z_grid)
     rows = []
-    for k, t in enumerate(ts):
+    for k, t in enumerate(t_grid):
         u = (samples[k] - t * lam) / (sigma * np.sqrt(t))
         order = np.argsort(u)
         u_sorted = u[order]
@@ -276,14 +279,9 @@ def berry_esseen_curve(triplet: MatrixLevyTriplet, F: FunctionalSpec, t_grid,
         rows.append((float(t), dist, n_paths))
 
     log_d = np.log(np.maximum([r[1] for r in rows], 1e-12))
-    if len(rows) >= 2:
-        slope, intercept = np.polyfit(np.log(ts), log_d, 1)
-    else:
-        # a one-point curve has no decay rate
-        slope, intercept = np.nan, np.nan
-    return BerryEsseenReport(rows=tuple(rows), slope=float(slope),
-                             intercept=float(intercept), lambda_hat=lam,
-                             sigma_hat=sigma)
+    slope, intercept, _ = line_fit(np.log(t_grid), log_d)
+    return BerryEsseenReport(rows=tuple(rows), slope=slope, intercept=intercept,
+                             lambda_hat=lam, sigma_hat=sigma)
 
 
 def m_statistics(exp_path: ExpPath, probes):

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import _engine
+from ._linalg import line_fit
 from .levy_model import MatrixLevyTriplet
 from .path_sampler import ExpPath
 
@@ -268,16 +269,14 @@ def mixing_rate(triplet: MatrixLevyTriplet, f: HolderFn, starts, t_grid,
     """
     start_arr = np.array([_as_unit(p) for p in starts])
     t_grid = np.asarray(t_grid, dtype=float)
-    order = np.argsort(t_grid)
     _, dirs, _ = _engine.evolve_vectors(
-        triplet, start_arr, float(t_grid.max()), n_paths, seed,
-        t_grid[order], dt=dt)
+        triplet, start_arr, float(t_grid.max()), n_paths, seed, t_grid, dt=dt)
 
     m, d = start_arr.shape
     sup_diffs = np.empty(len(t_grid))
     ses = np.empty(len(t_grid))
-    for pos, k in enumerate(order):
-        vals = _eval_lines(f.eval, dirs[pos].reshape(-1, d).T).reshape(n_paths, m)
+    for k in range(len(t_grid)):
+        vals = _eval_lines(f.eval, dirs[k].reshape(-1, d).T).reshape(n_paths, m)
         means = vals.mean(axis=0)
         hi, lo = int(np.argmax(means)), int(np.argmin(means))
         sup_diffs[k] = float(means[hi] - means[lo])
@@ -288,17 +287,13 @@ def mixing_rate(triplet: MatrixLevyTriplet, f: HolderFn, starts, t_grid,
     if not np.any(resolved):
         return MixingReport(t_grid=t_grid, sup_diffs=sup_diffs, D_hat=0.0,
                             d_hat=np.inf, r2=1.0, flagged_no_decay=False)
-    if resolved.sum() < 2:
+    slope, intercept, r2 = line_fit(t_grid[resolved], np.log(sup_diffs[resolved]))
+    if np.isnan(slope):
+        # fewer than two distinct resolved horizons: no decay rate to fit
         return MixingReport(t_grid=t_grid, sup_diffs=sup_diffs, D_hat=0.0,
                             d_hat=0.0, r2=0.0,
                             flagged_no_decay=bool(np.max(sup_diffs) > 1e-3))
-    x = t_grid[resolved]
-    y = np.log(sup_diffs[resolved])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    total = y - y.mean()
-    r2 = 1.0 - float((resid ** 2).sum()) / max(float((total ** 2).sum()), 1e-300)
-    d_hat = -float(slope)
+    d_hat = -slope
     flagged = bool(np.max(sup_diffs) > 1e-3 and (d_hat <= 1e-2 or r2 < 0.5))
     return MixingReport(t_grid=t_grid, sup_diffs=sup_diffs,
                         D_hat=float(np.exp(intercept)), d_hat=d_hat, r2=r2,

@@ -224,13 +224,19 @@ class TestMain:
         ("ip_certify", {"search_depth": -3}, "parameters.search_depth"),
         ("berry_esseen", {"t_grid": [1.0], "n_paths": 200}, "parameters.t_grid"),
         ("berry_esseen", {"t_grid": [1.0, 1.0], "n_paths": 200}, "parameters.t_grid"),
+        ("mixing", {"t_grid": [0.5, 0.5], "n_paths": 200}, "parameters.t_grid"),
+        ("mixing", {"t_grid": [0.3, 1.0], "n_paths": 200, "dt": 0.25},
+         "parameters.t_grid"),
+        ("berry_esseen", {"t_grid": [1.5, 3.0], "n_paths": 200, "dt": 0.2},
+         "parameters.t_grid"),
     ], ids=["generator_check_x", "invariant_measure_dt", "vector_norm_y",
             "entry_index", "entry_fractional_index", "abs_inner_z", "mixing_zero_u",
             "lyapunov_no_paths", "mixing_one_path", "clt_one_path", "lyapunov_zero_dt",
             "lyapunov_negative_T", "invariant_measure_burn_in", "invariant_measure_h",
             "simulate_dt_above_T", "lyapunov_entry_kind", "berry_esseen_op_norm_kind",
             "clt_nan_T", "ip_certify_search_depth", "berry_esseen_one_horizon",
-            "berry_esseen_repeated_horizon"])
+            "berry_esseen_repeated_horizon", "mixing_repeated_horizon",
+            "mixing_off_grid_horizon", "berry_esseen_off_grid_horizon"])
     def test_bad_parameter_exit_two_names_key(self, tmp_path, capsys, experiment,
                                               parameters, key):
         doc = {"triplet": "standard_brownian(2)", "experiment": experiment,
@@ -355,6 +361,23 @@ class TestExperimentRunners:
         man = cli.run_scenario(_write_config(tmp_path, doc))
         assert "lambda_hat" in man.summary
         assert man.summary["lambda_se"] > 0
+
+    @pytest.mark.parametrize("experiment, header", [
+        ("lyapunov", ["lambda_hat", "lambda_se", "T", "n_paths"]),
+        ("clt", ["lambda_hat", "lambda_se", "sigma2_hat", "sigma2_se",
+                 "ks_stat", "ks_p", "degenerate", "T", "n_paths"]),
+    ])
+    def test_scalar_csv_is_the_summary_as_one_row(self, tmp_path, experiment, header):
+        doc = {"triplet": "gbm1(0.1, 0.2)", "experiment": experiment,
+               "parameters": {"T": 5.0, "n_paths": 200, "seed": 3},
+               "output_dir": str(tmp_path / "o")}
+        man = cli.run_scenario(_write_config(tmp_path, doc))
+        lines = (tmp_path / "o" / f"{experiment}.csv").read_text().splitlines()
+        assert lines[0].split(",") == header
+        assert list(man.summary) == header
+        doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert sorted(doc["summary"]) == sorted(header)
+        assert lines[1:] == [",".join(cli._fmt(man.summary[k]) for k in header)]
 
     def test_invariant_measure(self, tmp_path):
         doc = {"triplet": "standard_brownian(2)",

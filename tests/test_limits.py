@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import logm
@@ -13,6 +15,11 @@ from levyflow.limits import _terminal_log_samples
 GBM = lf.builtin_triplet("gbm1(0.1, 0.2)")
 # zero volatility: X_t = exp(0.1 t) with no randomness at all
 GBM_DET = lf.builtin_triplet("gbm1(0.1, 0.0)")
+# volatility 1e-6: log X_T has variance 1e-12 T, below the 1e-10 T degeneracy rule
+GBM_FLAT = lf.builtin_triplet("gbm1(0.0, 1e-6)")
+SB2 = lf.builtin_triplet("standard_brownian(2)")
+# log ||X_n|| grows like 0.98 n: s log ||X_n|| leaves the float range at moderate s
+GBM_FAST = lf.builtin_triplet("gbm1(1.0, 0.2)")
 
 
 def _functional_at(F: lf.FunctionalSpec, a) -> float:
@@ -20,7 +27,7 @@ def _functional_at(F: lf.FunctionalSpec, a) -> float:
     X_t = expm(t logm(a)), so that X_1 = a."""
     gamma = np.real(logm(np.asarray(a, dtype=float)))
     trip = lf.MatrixLevyTriplet(d=2, sigma=np.zeros((4, 4)), gamma=gamma, drift0=gamma)
-    _, samples, _ = _terminal_log_samples(trip, F, [1.0], n_paths=2, seed=0, dt=1.0)
+    samples, _ = _terminal_log_samples(trip, F, [1.0], n_paths=2, seed=0, dt=1.0)
     return float(np.exp(samples[0, 0]))
 
 
@@ -53,6 +60,21 @@ class TestFunctionalSpec:
         with pytest.raises(ValueError):
             lf.FunctionalSpec.vector_norm([0.0, 0.0])
 
+    @pytest.mark.parametrize("F", [lf.FunctionalSpec.vector_norm([1.0, 0.0, 0.0]),
+                                   lf.FunctionalSpec.abs_inner([1.0, 0.0], [0.0, 1.0, 0.0])],
+                             ids=["vector_norm_y", "abs_inner_z"])
+    def test_vector_length_must_fit_d(self, F):
+        with pytest.raises(ValueError, match="length 3"):
+            F.vectors(2)
+        # the estimators read the same check, before the engine runs
+        with pytest.raises(ValueError, match="length 3"):
+            lf.clt_diagnostic(SB2, F, T=1.0, n_paths=4, seed=0, dt=0.5)
+
+    def test_vector_norm_has_no_z(self):
+        y, z = lf.FunctionalSpec.vector_norm([3.0, 4.0]).vectors(2)
+        np.testing.assert_array_equal(y, [0.6, 0.8])
+        assert z is None
+
 
 class TestLyapunov:
     def test_deterministic_growth_is_exact(self):
@@ -60,6 +82,11 @@ class TestLyapunov:
                                        T=5.0, n_paths=4, seed=0, dt=0.05)
         assert lam == pytest.approx(0.1, abs=1e-9)
         assert se <= 1e-9
+
+    @pytest.mark.parametrize("estimator", [lf.lyapunov_estimate, lf.clt_diagnostic])
+    def test_one_path_has_no_variance(self, estimator):
+        with pytest.raises(ValueError, match="two or more paths"):
+            estimator(GBM, lf.FunctionalSpec.op_norm(), T=1.0, n_paths=1, seed=0)
 
     def test_entry_functional_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +111,26 @@ class TestCltDiagnostic:
         assert rep.ks_stat == 1.0
         assert rep.ks_p == 0.0
 
+    def test_one_degeneracy_rule_for_clt_and_berry_esseen(self):
+        E1 = lf.FunctionalSpec.vector_norm([1.0])
+        rep = lf.clt_diagnostic(GBM_FLAT, E1, T=2.0, n_paths=200, seed=1, dt=0.1)
+        assert rep.degenerate
+        assert rep.sigma2_hat > 0.0
+        with pytest.raises(lf.DegenerateNorm, match="1e-10"):
+            lf.berry_esseen_curve(GBM_FLAT, E1, [1.0, 2.0], 200, seed=1, dt=0.1)
+
+
+def _moment_reference(ell, s_all, n):
+    """Lambda(s) and its SE one exponent at a time, from the raw weights
+    ||X_n||^s: the direct formula, valid while they stay in float range."""
+    values, ses = [], []
+    for s in s_all:
+        w = np.exp(s * ell)
+        m = w.mean()
+        values.append(np.log(m) / n)
+        ses.append(w.std(ddof=1) / (np.sqrt(len(ell)) * m * n))
+    return np.array(values), np.array(ses)
+
 
 class TestMomentFunction:
     def test_deterministic_model_is_linear(self):
@@ -102,6 +149,37 @@ class TestMomentFunction:
         assert np.all(second >= -1e-12)
         assert rep.values[np.searchsorted(s_grid, 0.0)] == pytest.approx(0.0, abs=1e-12)
 
+    def test_matches_per_exponent_reference(self):
+        n, n_paths, seed, dt = 20.0, 400, 5, 0.1
+        s_grid = np.linspace(-40.0, 40.0, 17)
+        rep = lf.lambda_moment_function(GBM_FAST, s_grid, n, n_paths, seed, dt=dt)
+        assert np.all(np.isfinite(rep.values)) and np.all(np.isfinite(rep.ses))
+        ell = _terminal_log_samples(GBM_FAST, lf.FunctionalSpec.op_norm(), [n],
+                                    n_paths, seed, dt)[0][0]
+        h = rep.fd_step
+        s_all = np.concatenate([s_grid, [h, -h]])
+        # the reference holds where the weights and their squares stay in the
+        # normal float range; s log ||X_20|| reaches about +-800 at s = +-40
+        ok = np.abs(s_all[:, None] * ell).max(axis=1) < 300.0
+        assert 5 <= ok[:-2].sum() < len(s_grid) and ok[-2:].all()
+        values, ses = _moment_reference(ell, s_all[ok], n)
+        np.testing.assert_allclose(rep.values[ok[:-2]], values[:-2], rtol=1e-12)
+        np.testing.assert_allclose(rep.ses[ok[:-2]], ses[:-2], rtol=1e-12)
+        lp, lm = values[-2:]
+        assert rep.deriv1 == pytest.approx((lp - lm) / (2 * h), rel=1e-12)
+        assert rep.deriv2 == pytest.approx((lp + lm) / h ** 2,
+                                           abs=1e-12 * (abs(lp) + abs(lm)) / h ** 2)
+
+    def test_large_exponent_is_finite(self):
+        # s log ||X_100|| is about 980 > log(max float): exp overflows there
+        rep = lf.lambda_moment_function(GBM_FAST, [10.0], 100.0, 100, 3, dt=0.25)
+        assert np.all(np.isfinite(rep.values)) and np.all(np.isfinite(rep.ses))
+        assert np.isfinite(rep.deriv1) and np.isfinite(rep.deriv2)
+        # Jensen: log mean ||X||^s >= s mean log ||X||, and Lambda(10) <= 11.8
+        lam, _ = lf.lyapunov_estimate(GBM_FAST, lf.FunctionalSpec.op_norm(),
+                                      100.0, 100, 3, dt=0.25)
+        assert 10.0 * lam - 1e-9 <= rep.values[0] <= 11.8
+
 
 class TestBerryEsseen:
     def test_scalar_model_curve(self):
@@ -116,6 +194,17 @@ class TestBerryEsseen:
         assert np.isfinite(rep.slope)
         # the sup-distance at the longest horizon is the smallest
         assert dists[-1] == dists.min()
+
+    def test_repeated_horizon_has_no_slope(self, capfd):
+        # a fit through one distinct horizon: NaN, with no warning and no
+        # LAPACK message on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = lf.berry_esseen_curve(SB2, lf.FunctionalSpec.vector_norm([1.0, 0.0]),
+                                        [1.0, 1.0], 200, seed=1, dt=0.1)
+        assert np.isnan(rep.slope) and np.isnan(rep.intercept)
+        assert rep.rows[0] == rep.rows[1]
+        assert capfd.readouterr().err == ""
 
 
 # mu = 800 at dt = 1: the drift factor e^800 overflows, so every state is

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.linalg import expm
 
 import levyflow as lf
 from levyflow import _engine
-from levyflow._linalg import grid_indices
+from levyflow._linalg import OffGrid, grid_indices, line_fit
 
 ROT = lf.builtin_triplet("rotation_rank1")
 SB2 = lf.builtin_triplet("standard_brownian(2)")
@@ -411,6 +412,30 @@ def test_grid_indices_through_callers(caller, t, expected):
             caller(t)
     else:
         assert caller(t) == expected
+
+
+@pytest.mark.parametrize("times", [[0.3], [np.nan], [0.5, 0.3]])
+def test_off_grid_time_raises_off_grid(times):
+    # OffGrid is a ValueError, so the callers' ValueError contract above holds
+    assert issubclass(OffGrid, ValueError)
+    with pytest.raises(OffGrid, match="not a grid point"):
+        grid_indices(np.arange(3) * 0.5, times)
+
+
+class TestLineFit:
+    def test_exact_line(self):
+        x = np.array([0.0, 1.0, 3.0, 4.5])
+        slope, intercept, r2 = line_fit(x, 2.0 - 0.5 * x)
+        assert slope == pytest.approx(-0.5, abs=1e-12)
+        assert intercept == pytest.approx(2.0, abs=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 1.0], [2.0, 2.0, 2.0], []])
+    def test_fewer_than_two_distinct_x_is_nan(self, x):
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isnan(line_fit(x, np.ones_like(x))))
 
 
 class TestLazyInverse:

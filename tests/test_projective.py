@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,16 @@ class TestMixingRate:
         with pytest.raises(ValueError):
             lf.HolderFn(eval=lambda p: 0.0, gamma=0.0)
 
+    def test_repeated_horizon_mixing_has_no_fit(self, capfd):
+        f = lf.HolderFn(eval=lambda p: p.v[0] ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = lf.mixing_rate(SB2, f, np.eye(2), [0.5, 0.5], 2000, 1, dt=0.1)
+        assert rep.sup_diffs[0] == rep.sup_diffs[1] > 1e-3
+        assert (rep.D_hat, rep.d_hat, rep.r2) == (0.0, 0.0, 0.0)
+        assert rep.flagged_no_decay
+        assert capfd.readouterr().err == ""
+
 
 class TestBerryEsseenWithPhi:
     def test_matches_a_per_point_reference(self):
@@ -276,8 +288,8 @@ class TestBerryEsseenWithPhi:
         rep = lf.berry_esseen_curve(SB2, F, t_grid, n_paths, phi=phi, seed=seed,
                                     measure=meas, dt=dt)
 
-        ts, samples, dirs = _terminal_log_samples(SB2, F, np.array(t_grid),
-                                                  n_paths, seed, dt)
+        ts = np.array(t_grid)
+        samples, dirs = _terminal_log_samples(SB2, F, ts, n_paths, seed, dt)
         lam = samples[-1].mean() / ts[-1]
         sigma = samples[-1].std(ddof=1) / np.sqrt(ts[-1])
         pi_phi = sum(w * phi.eval(lf.ProjPoint(v))
