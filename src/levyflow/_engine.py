@@ -18,23 +18,32 @@ of length d are a C-contiguous (m, d, n_paths) array, their log-scales
 Paths-first, the 1- to 3-element d axis would be innermost and every product,
 norm and division would loop over it; paths-last, each is a few unit-stride
 passes over all paths, the row product v @ F being sum_k v[:, k] F[k, :].
-Snapshots are stored paths-first, as the public arrays.  One step loop serves both entry
-points, with one of three norm modes: evolve_vectors divides out each row's
-Euclidean norm every step, evolve_matrices each state's Frobenius norm, or
-nothing with renormalize=False.  The log-scale is accumulated separately, so
-long-horizon norm statistics are exact at snapshot times and never overflow.
+A run with one row per path and a row-isotropic Gaussian part (sigma =
+C kron I_d: the rows of dB are independent, each N(0, C dt)) in d >= 2 takes
+a short draw.  For a row w = y D, w dB ~ |w| N(0, C dt), so y D (I + dB) has
+the law of w + |w| A z with A A^T = C dt and d standard normals z per path,
+not d^2; the jump factors act on the row as before.  Every other run keeps
+the full dB: other sigmas have no such form, several rows of a path must
+share one dB, and for d = 1 both draws take one normal, where the full one
+measured faster.
+Snapshots are stored paths-first, as the public arrays.  One step loop
+serves both entry points, with one of three norm modes: evolve_vectors
+divides out each row's Euclidean norm every step, evolve_matrices each
+state's Frobenius norm, or nothing with renormalize=False.  The log-scale is
+accumulated separately, so long-horizon norm statistics are exact at
+snapshot times and never overflow.
 
 A single batched RNG stream with a fixed per-step draw order drives each run:
-Gaussians, then jump counts, then per jump round the atom choices and the
-offset uniforms.  Results are deterministic given the seed, independent of
-BLAS threading.
+Gaussians (d^2 per path, or d in the short draw), then jump counts, then per
+jump round the atom choices and the offset uniforms.  Results are
+deterministic given the seed, independent of BLAS threading.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import expm_family, grid_indices
+from ._linalg import expm_family, grid_indices, psd_factor
 from .levy_model import MatrixLevyTriplet
 
 
@@ -43,13 +52,19 @@ class DegenerateNorm(ArithmeticError):
 
 
 class _StepScheme:
-    """Per-step factor generator for one (triplet, dt) pair."""
+    """Per-step factor generator for one (triplet, dt) pair.  With
+    ``single_row`` (the run carries one row per path) it takes the short
+    draw where it applies; ``row_noise`` tells whether it does."""
 
-    def __init__(self, triplet: MatrixLevyTriplet, dt: float):
+    def __init__(self, triplet: MatrixLevyTriplet, dt: float, single_row: bool = False):
         self.d = triplet.d
         self.dt = float(dt)
         self.drift_factor = expm(self.dt * triplet.drift())
-        if triplet.has_gaussian_part():
+        self.row_noise = (single_row and self.d >= 2 and triplet.has_gaussian_part()
+                          and triplet.row_covariance is not None)
+        if self.row_noise:
+            self.gauss = psd_factor(triplet.row_covariance) * np.sqrt(self.dt)
+        elif triplet.has_gaussian_part():
             g = np.einsum("mk,kjl->mjl", self.drift_factor, triplet.brownian_factor)
             self.gauss = g.reshape(self.d ** 2, -1) * np.sqrt(self.dt)
         else:
@@ -65,9 +80,12 @@ class _StepScheme:
     def cont_factors(self, rng, n: int):
         """(n, d, d) per-path factors D @ (I + dB), or the (d, d) drift factor
         D shared by the whole batch when there is no Gaussian part.  The
-        per-path factors are a view of a paths-last (d, d, n) array."""
+        per-path factors are a view of a paths-last (d, d, n) array.  With
+        ``row_noise``, the paths-last (d, n) row noise A @ z instead."""
         if self.gauss is None:
             return self.drift_factor
+        if self.row_noise:
+            return self.gauss @ rng.standard_normal((self.d, n))
         z = rng.standard_normal((n, self.d * self.d))
         f = (self.gauss @ z.T).reshape(self.d, self.d, n)
         f += self.drift_factor[:, :, None]
@@ -140,7 +158,7 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
     times, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff)
-    scheme = _StepScheme(triplet, dt_eff)
+    scheme = _StepScheme(triplet, dt_eff, single_row=states.shape[1] == 1)
     rng = np.random.default_rng(seed)
     n_paths = len(states)
     out_states = np.empty((len(times),) + states.shape)
@@ -155,7 +173,12 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
 
     record(0)
     for step in range(1, n_steps + 1):
-        states = _rowvec_product(states, scheme.cont_factors(rng, n_paths))
+        if scheme.row_noise:
+            states = np.matmul(scheme.drift_factor.T, states)
+            states += (np.sqrt((states * states).sum(axis=1, keepdims=True))
+                       * scheme.cont_factors(rng, n_paths))
+        else:
+            states = _rowvec_product(states, scheme.cont_factors(rng, n_paths))
         for act, f in scheme.jump_plan(rng, n_paths):
             states[:, :, act] = _rowvec_product(states[:, :, act], f)
         if norm is not None:

@@ -362,13 +362,13 @@ def _run_mixing(triplet, params, seed):
     t_grid = _horizons(params)
     n_paths = _param(params, "n_paths", int, least=2)
     dt = _param(params, "dt", float, default=0.05, above=0.0)
-    n_starts = _param(params, "n_starts", int, default=6)
-    f = _holder_fn(params, triplet.d)
-    s_starts, s_engine = np.random.SeedSequence(seed).spawn(2)
     d = triplet.d
+    n_starts = _param(params, "n_starts", int, default=6, least=d)
+    f = _holder_fn(params, d)
+    s_starts, s_engine = np.random.SeedSequence(seed).spawn(2)
     starts = list(np.eye(d))
     rng = np.random.default_rng(s_starts)
-    while len(starts) < max(n_starts, d):
+    while len(starts) < n_starts:
         g = rng.standard_normal(d)
         starts.append(g / np.linalg.norm(g))
     try:
@@ -383,7 +383,7 @@ def _run_mixing(triplet, params, seed):
 
 def _run_ip_certify(triplet, params, seed):
     search_depth = _param(params, "search_depth", int, default=6, least=1)
-    n_samples = _param(params, "n_samples", int, default=32)
+    n_samples = _param(params, "n_samples", int, default=32, least=8)
     cert = ip_certify(triplet, search_depth=search_depth,
                       n_samples=n_samples, seed=seed)
     word = ""

@@ -94,10 +94,10 @@ class MatrixLevyTriplet:
     sigma[(j*d+m, l*d+n)] is the Gaussian covariance between components
     L^(m,j) and L^(n,l) (0-based indices).
 
-    The jump atoms and the Gaussian factor are resolved once, on first use
-    (so :func:`validate` can still report a misshapen atom), to three
-    read-only arrays that every consumer reads: ``marks`` (k, d, d),
-    ``rates`` (k,) and ``brownian_factor`` (d, d, d^2).
+    The jump atoms and the Gaussian part are resolved once, on first use
+    (so :func:`validate` can still report a misshapen atom), to read-only
+    arrays that every consumer reads: ``marks`` (k, d, d), ``rates`` (k,),
+    ``brownian_factor`` (d, d, d^2) and ``row_covariance`` (d, d) or None.
     """
 
     d: int
@@ -134,6 +134,17 @@ class MatrixLevyTriplet:
         G[n, l, r] = sigma[(j*d+m), (l*d+n)]."""
         g = psd_factor(self.sigma).reshape(self.d, self.d, -1)
         return _frozen(g.transpose(1, 0, 2))
+
+    @cached_property
+    def row_covariance(self) -> np.ndarray | None:
+        """C of shape (d, d) when the Gaussian part is row-isotropic, sigma =
+        C kron I_d exactly, so that cov(dB_kj, dB_lm) = delta_kl C_jm dt:
+        the rows of dB are independent, each with covariance C dt.  None for
+        any other sigma.  A zero sigma gives C = 0."""
+        c = self.sigma[::self.d, ::self.d]
+        if not np.array_equal(self.sigma, np.kron(c, np.eye(self.d))):
+            return None
+        return _frozen(c.copy())
 
     def jump_compensator(self) -> np.ndarray:
         """rate * sum p_i a_i 1{||vec a_i|| <= 1}; difference gamma - drift0."""

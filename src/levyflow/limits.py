@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
 from . import _engine
 from ._engine import DegenerateNorm
@@ -161,6 +160,11 @@ def _terminal_log_samples(triplet, F: FunctionalSpec, ts, n_paths, seed, dt):
     return logs + np.log(np.maximum(overlap, 1e-300)), dirs
 
 
+def _need_two_paths(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"a variance needs two or more paths, got {n}")
+
+
 def _growth(samples: np.ndarray, T: float):
     """(lambda_hat, lambda_se, sigma2_hat, sigma2_se, sigma_hat, flat) of n
     samples of log F(X_T): lambda_hat and sigma2_hat are their mean and
@@ -169,8 +173,7 @@ def _growth(samples: np.ndarray, T: float):
     estimator: a sample variance below 1e-10 * T.  Fewer than two samples
     raise ValueError."""
     n = len(samples)
-    if n < 2:
-        raise ValueError(f"a variance needs two or more paths, got {n}")
+    _need_two_paths(n)
     var = float(samples.var(ddof=1))
     sd = np.sqrt(var)
     sigma2 = var / T
@@ -195,6 +198,8 @@ def clt_diagnostic(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
     Degeneracy (ks_stat = 1.0, ks_p = 0.0) and the scope of ``sigma2_se``
     are as :class:`CltReport` states.
     """
+    from scipy import stats  # here only, so that importing levyflow skips scipy.stats
+
     samples, _ = _terminal_log_samples(triplet, F, [T], n_paths, seed, dt)
     lam, lam_se, sigma2, sigma2_se, sigma, flat = _growth(samples[0], T)
     ks_stat, ks_p = 1.0, 0.0
@@ -214,8 +219,10 @@ def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float,
     convexity holds exactly (Cauchy-Schwarz on the sample measure).
     Derivatives at 0 come from central differences at h = 0.1 * max|s|.
     Means of ||X_n||^s are taken in log space (logsumexp, and SEs from weights
-    scaled by their largest), so no exponent overflows.
+    scaled by their largest), so no exponent overflows.  Fewer than two
+    paths raise ValueError.
     """
+    _need_two_paths(n_paths)
     s_grid = np.asarray(s_grid, dtype=float)
     ell = _terminal_log_samples(triplet, FunctionalSpec.op_norm(), [float(n)],
                                 n_paths, seed, dt)[0][0]
@@ -262,7 +269,7 @@ def berry_esseen_curve(triplet: MatrixLevyTriplet, F: FunctionalSpec, t_grid,
         raise DegenerateNorm("no fluctuation in log ||y X_t||: variance below 1e-10 t")
     pi_phi = measure.integrate(phi.eval) if phi is not None else None
 
-    phi_cdf = stats.norm.cdf(z_grid)
+    phi_cdf = ndtr(z_grid)
     rows = []
     for k, t in enumerate(t_grid):
         u = (samples[k] - t * lam) / (sigma * np.sqrt(t))

@@ -229,6 +229,9 @@ class TestMain:
          "parameters.t_grid"),
         ("berry_esseen", {"t_grid": [1.5, 3.0], "n_paths": 200, "dt": 0.2},
          "parameters.t_grid"),
+        ("mixing", {"t_grid": [0.5, 1.0], "n_paths": 200, "n_starts": 1},
+         "parameters.n_starts"),
+        ("ip_certify", {"n_samples": -3}, "parameters.n_samples"),
     ], ids=["generator_check_x", "invariant_measure_dt", "vector_norm_y",
             "entry_index", "entry_fractional_index", "abs_inner_z", "mixing_zero_u",
             "lyapunov_no_paths", "mixing_one_path", "clt_one_path", "lyapunov_zero_dt",
@@ -236,7 +239,8 @@ class TestMain:
             "simulate_dt_above_T", "lyapunov_entry_kind", "berry_esseen_op_norm_kind",
             "clt_nan_T", "ip_certify_search_depth", "berry_esseen_one_horizon",
             "berry_esseen_repeated_horizon", "mixing_repeated_horizon",
-            "mixing_off_grid_horizon", "berry_esseen_off_grid_horizon"])
+            "mixing_off_grid_horizon", "berry_esseen_off_grid_horizon",
+            "mixing_n_starts_below_d", "ip_certify_n_samples"])
     def test_bad_parameter_exit_two_names_key(self, tmp_path, capsys, experiment,
                                               parameters, key):
         doc = {"triplet": "standard_brownian(2)", "experiment": experiment,

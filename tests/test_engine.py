@@ -174,10 +174,29 @@ def test_out_of_range_runs_raise(T, n_paths, dt):
             run()
 
 
+# Column-isotropic (sigma = I_2 kron diag(1, 0.5)), not row-isotropic: the
+# rows of dB are correlated, so a single row keeps the full draw.
+COLUMN_SIGMA = np.kron(np.eye(2), np.diag([1.0, 0.5]))
+FULL_DRAW_TRIPLETS = {
+    "gaussian_and_jumps": _triplet(2, COLUMN_SIGMA, [[0.1, -0.6], [0.6, 0.0]], TWO_ATOMS),
+    "gaussian_only": _triplet(2, COLUMN_SIGMA, [[0.2, -1.0], [0.7, -0.4]]),
+}
+ROW_ISOTROPIC = {"gaussian_and_jumps": MIXED,
+                 "gaussian_only": GAUSSIAN_TRIPLETS["sb2_with_drift"],
+                 "d3_rank_deficient": _triplet(3, np.kron([[1.0, 0.5, 0.0], [0.5, 0.25, 0.0],
+                                                           [0.0, 0.0, 0.3]], np.eye(3)),
+                                               [[0.1, -0.5, 0.0], [0.5, 0.1, 0.2],
+                                                [0.0, -0.2, -0.3]])}
+
+
 class TestRowProducts:
-    @pytest.mark.parametrize("triplet", [MIXED, GAUSSIAN_TRIPLETS["sb2_with_drift"]],
-                             ids=["gaussian_and_jumps", "gaussian_only"])
-    def test_single_start_agrees_with_start_batch(self, triplet):
+    @pytest.mark.parametrize("name", sorted(FULL_DRAW_TRIPLETS))
+    def test_single_start_agrees_with_start_batch(self, name):
+        """A single row on a Gaussian part that is not row-isotropic takes
+        the full draw, so it sees the noise of a start batch."""
+        triplet = FULL_DRAW_TRIPLETS[name]
+        assert triplet.row_covariance is None
+        assert not _engine._StepScheme(triplet, 0.05, single_row=True).row_noise
         u = np.array([0.6, -0.8])
         times = [0.5, 2.0]
         _, dirs3, logs3 = _engine.evolve_vectors(
@@ -186,6 +205,49 @@ class TestRowProducts:
             triplet, [[1.0, 0.0]], 2.0, 500, 21, times)
         np.testing.assert_allclose(dirs3[:, :, :1, :], dirs1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(logs3[:, :, :1], logs1, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(ROW_ISOTROPIC))
+    def test_start_batches_share_the_noise(self, name):
+        """Runs with two or more rows per path keep the full draw: the first
+        rows of a larger batch are the rows of a smaller one."""
+        triplet = ROW_ISOTROPIC[name]
+        d, times = triplet.d, [0.5, 2.0]
+        starts = np.vstack([np.eye(d), np.full(d, 0.6)])
+        _, dirs_big, logs_big = _engine.evolve_vectors(triplet, starts, 2.0, 500, 21, times)
+        _, dirs, logs = _engine.evolve_vectors(triplet, starts[:2], 2.0, 500, 21, times)
+        np.testing.assert_allclose(dirs_big[:, :, :2, :], dirs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logs_big[:, :, :2], logs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(ROW_ISOTROPIC))
+    def test_single_start_replays_short_draw(self, name):
+        """One row on a row-isotropic Gaussian part, path by path: w = y D,
+        y <- w + |w| A z with z the step's (d, n) normals and A A^T = C dt,
+        then the step's jump factors, then the row's norm divided out."""
+        triplet = ROW_ISOTROPIC[name]
+        d, n, t, dt = triplet.d, 60, 1.0, 0.05
+        c = triplet.sigma[::d, ::d]
+        np.testing.assert_array_equal(triplet.row_covariance, c)
+        y0 = np.full(d, 0.6)
+        times = np.arange(21) * dt
+        _, dirs, logs = _engine.evolve_vectors(triplet, y0, t, n, 17, times, dt)
+        drift, a = expm(dt * triplet.drift()), psd_factor(c) * np.sqrt(dt)
+        jumps = _engine._StepScheme(triplet, dt)
+        rng = np.random.default_rng(17)
+        y = np.tile(y0 / np.linalg.norm(y0), (n, 1))
+        log = np.full(n, np.log(np.linalg.norm(y0)))
+        for k in range(1, len(times)):
+            z = rng.standard_normal((d, n))
+            for p in range(n):
+                w = y[p] @ drift
+                y[p] = w + np.linalg.norm(w) * (a @ z[:, p])
+            for act, f in jumps.jump_plan(rng, n):
+                for j, p in enumerate(act):
+                    y[p] = y[p] @ f[j]
+            norms = np.linalg.norm(y, axis=1)
+            log += np.log(norms)
+            y /= norms[:, None]
+            np.testing.assert_allclose(dirs[k, :, 0], y, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(logs[k, :, 0], log, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("d", [1, 2, 3])

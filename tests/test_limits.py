@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,12 @@ class TestMomentFunction:
         assert rep.deriv2 == pytest.approx((lp + lm) / h ** 2,
                                            abs=1e-12 * (abs(lp) + abs(lm)) / h ** 2)
 
+    def test_one_path_has_no_variance(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="two or more paths"):
+                lf.lambda_moment_function(GBM, [0.5], 1.0, 1, 0)
+
     def test_large_exponent_is_finite(self):
         # s log ||X_100|| is about 980 > log(max float): exp overflows there
         rep = lf.lambda_moment_function(GBM_FAST, [10.0], 100.0, 100, 3, dt=0.25)
@@ -260,3 +270,13 @@ class TestMStatistics:
         m_series, violations = lf.m_statistics(ep, rng.standard_normal((5, 2)))
         assert np.all(m_series >= 1.0 - 1e-12)
         assert violations == 0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs most of the import time of levyflow and serves only
+    clt_diagnostic's KS test, which imports it when called."""
+    code = "import sys, levyflow; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(lf.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

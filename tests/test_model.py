@@ -48,6 +48,29 @@ class TestBuiltinCatalog:
         assert trip.has_gaussian_part()
 
 
+class TestRowCovariance:
+    @pytest.mark.parametrize("name, c", [("standard_brownian(3)", np.eye(3)),
+                                         ("gbm1(0.1, 0.2)", [[0.2 ** 2]]),
+                                         ("rotation_rank1", np.zeros((2, 2)))])
+    def test_builtins(self, name, c):
+        np.testing.assert_array_equal(lf.builtin_triplet(name).row_covariance, c)
+
+    def test_kron_form_gives_c_back(self):
+        c = np.array([[1.0, 0.5, 0.0], [0.5, 0.25, 0.0], [0.0, 0.0, 0.3]])
+        trip = lf.MatrixLevyTriplet(d=3, sigma=np.kron(c, np.eye(3)), gamma=np.zeros((3, 3)))
+        np.testing.assert_array_equal(trip.row_covariance, c)
+        with pytest.raises(ValueError):
+            trip.row_covariance[0, 0] = 2.0
+
+    @pytest.mark.parametrize("sigma", [np.kron(np.eye(2), np.diag([1.0, 0.5])),
+                                       np.diag([1.0, 1.0, 1.0, 1.0 + 1e-12])],
+                             ids=["column_isotropic", "nearly_isotropic"])
+    def test_other_sigma_has_none(self, sigma):
+        trip = lf.MatrixLevyTriplet(d=2, sigma=sigma, gamma=np.zeros((2, 2)))
+        assert trip.row_covariance is None
+        assert lf.builtin_triplet("sl2_conservative").row_covariance is None
+
+
 class TestValidate:
     def test_asymmetric_sigma(self):
         sigma = np.zeros((4, 4))

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
 import levyflow as lf
 from levyflow import _engine
@@ -80,11 +81,21 @@ def test_generator_apply_matches_per_atom_sum(case):
     assert abs(got - want) <= 1e-12 * max(abs(want), scale)
 
 
+# d = 1, atom a = -1: I + a = 0 is singular
+_SINGULAR_ATOM_CASE = (
+    lf.MatrixLevyTriplet(d=1, sigma=np.zeros((1, 1)), gamma=np.zeros((1, 1)),
+                         jumps=lf.JumpSpec(rate=1.0, atoms=((1.0, np.array([[-1.0]])),))),
+    _gauss_bump(np.zeros((1, 1)), 1.0), np.zeros((1, 1)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(_cases())
+@example(_SINGULAR_ATOM_CASE)
 def test_atom_reductions_match_per_atom_loops(case):
     """jump_compensator, mean_l1, the log-determinant triplet and the SL(d)
-    jump condition, each against one loop over the atoms."""
+    jump condition, each against one loop over the atoms.  An atom with
+    det(I + a) = 0 has no log-determinant: check_characteristics raises
+    SingularJump."""
     triplet = case[0]
     d, eye = triplet.d, np.eye(triplet.d)
     pairs = _atom_rates(triplet)
@@ -94,28 +105,34 @@ def test_atom_reductions_match_per_atom_loops(case):
     base = float(np.trace(triplet.gamma)) - 0.5 * s2
     comp, jump_mean, gamma_d, mean, nu = np.zeros((d, d)), np.zeros((d, d)), base, base, []
     scale = 1.0 + abs(base)
-    unimodular = True
+    unimodular, singular = True, False
     for r, a in pairs:
         small = fro_norm(a) <= 1.0
         if small:
             comp = comp + r * a
         jump_mean = jump_mean + r * a
+        unimodular &= abs(np.linalg.det(eye + a) - 1.0) <= 1e-12
         sign, v = np.linalg.slogdet(eye + a)
-        assert sign != 0.0
+        if sign == 0.0:
+            singular = True
+            continue
         gamma_d += r * (v * (abs(v) <= 1.0) - np.trace(a) * small)
         mean += r * (v - np.trace(a) * small)
         if v != 0.0:
             nu.append((r, v))
         scale += r * (abs(v) + abs(np.trace(a)) + fro_norm(a))
-        unimodular &= abs(np.linalg.det(eye + a) - 1.0) <= 1e-12
     tol = 1e-12 * scale
     assert np.max(np.abs(triplet.jump_compensator() - comp)) <= tol
     assert np.max(np.abs(triplet.mean_l1() - (triplet.drift() + jump_mean))) <= tol
+    assert ("jump-det" in lf.sl_membership(triplet)[1]) == (not unimodular)
+    if singular:
+        with pytest.raises(lf.SingularJump):
+            lf.check_characteristics(triplet)
+        return
     ct = lf.check_characteristics(triplet)
     assert abs(ct.gamma_D - gamma_d) <= tol and abs(ct.mean - mean) <= tol
     assert len(ct.nu_D) == len(nu)
     assert np.max(np.abs(np.subtract(ct.nu_D, nu)), initial=0.0) <= tol
-    assert ("jump-det" in lf.sl_membership(triplet)[1]) == (not unimodular)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -126,7 +143,8 @@ def test_atom_arrays_are_read_only_and_empty_without_atoms(d):
     full = lf.MatrixLevyTriplet(d=d, sigma=np.eye(d * d), gamma=np.zeros((d, d)),
                                 jumps=jumps)
     for triplet in (bare, full):
-        for arr in (triplet.marks, triplet.rates, triplet.brownian_factor):
+        for arr in (triplet.marks, triplet.rates, triplet.brownian_factor,
+                    triplet.row_covariance):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
 
@@ -147,11 +165,16 @@ def test_gauss_bump_on_a_stack_is_per_matrix(case):
 @st.composite
 def _engine_cases(draw):
     """A random valid triplet (d in {1, 2, 3}, a Gaussian part of random rank
-    or none, 0-2 atoms), m in {1, d} start rows, and a short run."""
+    or none, either general or row-isotropic C kron I_d, 0-2 atoms), m in
+    {1, d} start rows, and a short run."""
     d = draw(st.integers(1, 3))
     mat = lambda shape, lo, hi: arrays(np.float64, shape, elements=st.floats(lo, hi))
-    rank = draw(st.integers(0, d * d))
-    g = draw(mat((d * d, rank), -0.6, 0.6))
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, d * d))
+        g = draw(mat((d * d, rank), -0.6, 0.6))
+    else:
+        c = draw(mat((d, draw(st.integers(0, d))), -0.6, 0.6))
+        g = np.kron(c, np.eye(d))
     atoms = [(draw(st.floats(0.1, 1.0)), draw(mat((d, d), -1.2, 1.2)))
              for _ in range(draw(st.integers(0, 2)))]
     total = sum(p for p, _ in atoms)
@@ -166,19 +189,39 @@ def _engine_cases(draw):
             draw(st.integers(1, 6)), draw(st.integers(0, 2 ** 32 - 1)))
 
 
-def _reference_products(triplet, t, n_steps, n_paths, seed):
-    """X at every grid time per path as a plain product, each step's factors
-    replayed from cont_factors / jump_plan on a fresh generator, and the
-    running product of the factors' Frobenius norms (the scale the rounding
-    error of a product is bounded by)."""
-    scheme = _engine._StepScheme(triplet, t / n_steps)
+def _row_isotropic(sigma, d):
+    """sigma[(j*d+m), (l*d+n)] = C[j, l] delta_mn for some C."""
+    c = sigma[::d, ::d]
+    return np.array_equal(sigma.reshape(d, d, d, d), np.einsum("jl,mn->jmln", c, np.eye(d)))
+
+
+def _reference_products(triplet, t, n_steps, n_paths, seed, starts=None):
+    """X at every grid time per path as a plain product, or with (m, d)
+    ``starts`` the rows starts @ X, each step's draw replayed from
+    cont_factors / jump_plan on a fresh generator, and the running product
+    of the factors' Frobenius norms (the scale the rounding error of a
+    product is bounded by; for rows, times each start row's norm).  A
+    single start row on a row-isotropic Gaussian part in d >= 2 replays the
+    short draw the engine takes there: w = y D, y <- w + |w| (A z)."""
+    d, dt = triplet.d, t / n_steps
+    single = starts is not None and len(starts) == 1
+    scheme = _engine._StepScheme(triplet, dt, single_row=single)
+    assert scheme.row_noise == (single and d >= 2 and triplet.has_gaussian_part()
+                                and _row_isotropic(triplet.sigma, d))
+    drift = expm(dt * triplet.drift())
     rng = np.random.default_rng(seed)
-    x = [np.eye(triplet.d) for _ in range(n_paths)]
+    x = [np.eye(d) if starts is None else np.array(starts, dtype=float)
+         for _ in range(n_paths)]
     scale = np.ones(n_paths)
     xs, scales = [np.array(x)], [scale.copy()]
     for _ in range(n_steps):
         f = scheme.cont_factors(rng, n_paths)
         for p in range(n_paths):
+            if scheme.row_noise:
+                w = x[p] @ drift
+                x[p] = w + np.linalg.norm(w) * f[:, p]
+                scale[p] *= np.linalg.norm(drift) * (1.0 + np.linalg.norm(f[:, p]))
+                continue
             fp = f if f.ndim == 2 else f[p]
             x[p] = x[p] @ fp
             scale[p] *= np.linalg.norm(fp)
@@ -188,7 +231,10 @@ def _reference_products(triplet, t, n_steps, n_paths, seed):
                 scale[p] *= np.linalg.norm(fj[k])
         xs.append(np.array(x))
         scales.append(scale.copy())
-    return np.array(xs), np.array(scales)
+    scales = np.array(scales)
+    if starts is not None:
+        scales = scales[..., None] * np.linalg.norm(starts, axis=1)
+    return np.array(xs), scales
 
 
 def _assert_matches(call, want, scale):
@@ -212,15 +258,72 @@ def test_engine_matches_per_path_products(case):
     triplet, starts, n_steps, dt, n_paths, seed = case
     t = n_steps * dt
     times = np.arange(n_steps + 1) * dt
-    x, scale = _reference_products(triplet, t, n_steps, n_paths, seed)
-    rows = np.linalg.norm(starts, axis=1)
+    rows, row_scale = _reference_products(triplet, t, n_steps, n_paths, seed, starts)
     _assert_matches(lambda: _engine.evolve_vectors(triplet, starts, t, n_paths, seed, times, dt),
-                    starts @ x, rows * scale[..., None])
+                    rows, row_scale)
+    x, scale = _reference_products(triplet, t, n_steps, n_paths, seed)
     for renormalize in (True, False):
         # each row of X_t is at most ||I||_F = sqrt(d) times the scale
         _assert_matches(lambda: _engine.evolve_matrices(triplet, t, n_paths, seed, times, dt,
                                                         renormalize),
                         x, scale[..., None] * np.sqrt(triplet.d))
+
+
+@st.composite
+def _row_isotropic_cases(draw):
+    """A row-isotropic triplet sigma = C kron I_d with d in {2, 3}, C = c c^T
+    of random rank 1..d (rank-deficient unless full), a nonzero drift, a
+    start row, a step size and a seed."""
+    d = draw(st.integers(2, 3))
+    mat = lambda shape, lo, hi: arrays(np.float64, shape, elements=st.floats(lo, hi))
+    c = draw(mat((d, draw(st.integers(1, d))), -1.0, 1.0).filter(
+        lambda c: np.linalg.norm(c) > 0.3))
+    drift = draw(mat((d, d), -1.0, 1.0).filter(lambda g: np.linalg.norm(g) > 0.3))
+    y = draw(mat((d,), -2.0, 2.0).filter(lambda y: np.linalg.norm(y) > 0.3))
+    triplet = lf.MatrixLevyTriplet(d=d, sigma=np.kron(c @ c.T, np.eye(d)), gamma=drift)
+    return (triplet, y, draw(st.sampled_from([0.05, 0.25])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _moments(rows):
+    """Sample mean and covariance of (n, d) rows, each with its standard
+    error (the covariance entries' from the centred products)."""
+    n = len(rows)
+    mean = rows.mean(axis=0)
+    dev = rows - mean
+    prod = dev[:, :, None] * dev[:, None, :]
+    return (mean, rows.std(axis=0, ddof=1) / np.sqrt(n),
+            prod.mean(axis=0), prod.std(axis=0, ddof=1) / np.sqrt(n))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_row_isotropic_cases())
+def test_short_draw_has_the_law_of_the_full_draw(case):
+    """One step of a single row: y F from the short draw, w + |w| A z with
+    w = y D, and y F from the full factor F = D (I + dB) have the same mean
+    and covariance within |z| <= 4.  Perturbing sigma off the C kron I_d
+    form sends the row back to the full draw."""
+    triplet, y, dt, seed = case
+    n = 20000
+    short = _engine._StepScheme(triplet, dt, single_row=True)
+    full = _engine._StepScheme(triplet, dt)
+    assert short.row_noise and not full.row_noise
+    rng = np.random.default_rng(seed)
+    w = y @ short.drift_factor
+    short_rows = w + np.linalg.norm(w) * short.cont_factors(rng, n).T
+    full_rows = np.einsum("j,pjk->pk", y, full.cont_factors(rng, n))
+    m_s, se_s, c_s, cse_s = _moments(short_rows)
+    m_f, se_f, c_f, cse_f = _moments(full_rows)
+    # entries with no noise (C rank-deficient) differ by rounding only
+    floor = 1e-12 * (1.0 + np.abs(w).max() ** 2)
+    assert np.all(np.abs(m_s - m_f) <= 4.0 * np.hypot(se_s, se_f) + floor)
+    assert np.all(np.abs(c_s - c_f) <= 4.0 * np.hypot(cse_s, cse_f) + floor)
+
+    sigma = triplet.sigma.copy()
+    sigma[0, 0] += 0.1
+    bent = lf.MatrixLevyTriplet(d=triplet.d, sigma=sigma, gamma=triplet.gamma)
+    assert bent.row_covariance is None
+    assert not _engine._StepScheme(bent, dt, single_row=True).row_noise
 
 
 @settings(max_examples=50, deadline=None)
