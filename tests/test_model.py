@@ -63,12 +63,12 @@ class TestRowCovariance:
             trip.row_covariance[0, 0] = 2.0
 
     @pytest.mark.parametrize("sigma", [np.kron(np.eye(2), np.diag([1.0, 0.5])),
-                                       np.diag([1.0, 1.0, 1.0, 1.0 + 1e-12])],
-                             ids=["column_isotropic", "nearly_isotropic"])
+                                       np.diag([1.0, 1.0, 1.0, 1.0 + 1e-12]),
+                                       lf.builtin_triplet("sl2_conservative").sigma],
+                             ids=["column_isotropic", "nearly_isotropic", "sl2_conservative"])
     def test_other_sigma_has_none(self, sigma):
         trip = lf.MatrixLevyTriplet(d=2, sigma=sigma, gamma=np.zeros((2, 2)))
         assert trip.row_covariance is None
-        assert lf.builtin_triplet("sl2_conservative").row_covariance is None
 
 
 class TestValidate:
