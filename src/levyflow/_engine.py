@@ -4,8 +4,13 @@ Batches of exponential states evolve by right-multiplying, each time step of
 length dt, the continuous factor F = D @ (I + dB) with D = expm(dt * gamma^0),
 then one jump-adapted factor per jump in the cell (Bruti-Liberati & Platen
 2007).  Jump offsets s are drawn in continuous time inside the cell, and a
-jump with mark a at offset s, r = dt - s, applies e^{-r gamma^0} (I + a)
-e^{r gamma^0}.  In time order these factors multiply out to
+jump with mark a at offset s, r = dt - s, applies I + e^{-r gamma^0} a
+e^{r gamma^0} = e^{-r gamma^0} (I + a) e^{r gamma^0}, built from two
+exponential families fixed per run (of gamma^0 and of -gamma^0, so no round
+solves a system); it has the determinant of I + a, so a run whose atoms all
+have |det(I + a)| > DET_TOL never builds a singular factor, and any other
+raises SingularJump before its first step.  In time order these factors
+multiply out to
 D e^{-r_1 gamma^0}(I + a_1) e^{r_1 gamma^0} ... = e^{s_1 gamma^0}(I + a_1)
 e^{(s_2 - s_1) gamma^0} ... (I + a_k) e^{(dt - s_k) gamma^0}, the exact
 product, so the scheme is exact for sigma = 0 at any dt; with sigma > 0,
@@ -44,7 +49,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._linalg import expm_family, grid_indices, psd_factor
-from .levy_model import MatrixLevyTriplet
+from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
 
 
 class DegenerateNorm(ArithmeticError):
@@ -70,10 +75,15 @@ class _StepScheme:
         else:
             self.gauss = None
         if triplet.jumps.active:
+            singular = np.abs(np.linalg.det(np.eye(self.d) + triplet.marks)) <= DET_TOL
+            if singular.any():
+                raise SingularJump(f"|det(I + a)| <= {DET_TOL} for atom "
+                                   f"{triplet.marks[np.argmax(singular)]!r}")
             self.jump_rate = triplet.jumps.rate
             self.probs = triplet.rates / triplet.rates.sum()
             self.marks = triplet.marks
             self.drift_exp = expm_family(self.dt * triplet.drift())
+            self.drift_exp_inv = expm_family(-self.dt * triplet.drift())
         else:
             self.jump_rate = 0.0
 
@@ -96,27 +106,30 @@ class _StepScheme:
 
         Round k gives each path with at least k jumps its k-th jump: an atom a
         and an offset s, the next order statistic of the path's jump times in
-        the cell, with factor e^{-r gamma^0} (I + a) e^{r gamma^0}, r = dt - s.
-        Offsets are kept in units of dt.
+        the cell, with factor I + e^{-r gamma^0} a e^{r gamma^0}, r = dt - s.
+        Offsets are kept in units of dt.  Each round works on the paths still
+        holding jumps, a shrinking subset of the previous round's.
         """
         if self.jump_rate == 0.0:
             return []
         counts = rng.poisson(self.jump_rate * self.dt, n)
-        s = np.zeros(n)
+        act = np.flatnonzero(counts)
+        counts = counts[act]
+        s = np.zeros(act.size)
         plan = []
-        while True:
-            act = np.flatnonzero(counts > 0)
-            if act.size == 0:
-                break
+        while act.size:
             if len(self.probs) > 1:
                 choice = rng.choice(len(self.probs), size=act.size, p=self.probs)
             else:
                 choice = np.zeros(act.size, dtype=int)
             u = rng.random(act.size)
-            s[act] += (1.0 - s[act]) * (1.0 - u ** (1.0 / counts[act]))
-            e = self.drift_exp(1.0 - s[act])
-            plan.append((act, np.eye(self.d) + np.linalg.solve(e, self.marks[choice] @ e)))
-            counts[act] -= 1
+            s += (1.0 - s) * (1.0 - u ** (1.0 / counts))
+            r = 1.0 - s
+            f = self.drift_exp_inv(r) @ self.marks[choice] @ self.drift_exp(r)
+            f += np.eye(self.d)
+            plan.append((act, f))
+            left = counts > 1
+            act, counts, s = act[left], counts[left] - 1, s[left]
         return plan
 
 

@@ -81,6 +81,9 @@ def expm_family(a: np.ndarray):
     Python): the degree-16 Taylor polynomial of r_i * a / 2^q, with q the
     least integer giving ||a||_1 / 2^q <= 1/2 (truncation error below
     1e-19), squared q times.  The scaled powers of ``a`` are computed once.
+    The domain is r in [0, 1], the range the scaling q is chosen for; for
+    expm(-r_i * a) build a second family of -a rather than passing negative
+    r (a negative base makes the powers r ** k far slower).
     """
     q = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(a, 1) + 1e-300))))
     terms = np.stack([np.linalg.matrix_power(a / 2.0 ** q, k).ravel() / math.factorial(k)

@@ -108,11 +108,19 @@ def _fmt(x) -> str:
 
 def _write_csv(path: Path, header, rows) -> None:
     """rows: a list of rows of mixed cells, or a float ndarray, which is
-    written with one row template; both give the same bytes for floats."""
+    written with one row template; both give the same bytes for floats.  A
+    column holding one value (bit for bit) throughout is formatted once, into
+    the template."""
     lines = [",".join(header)]
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        template = ",".join(["%.17g"] * rows.shape[1])
-        lines.extend(template % tuple(row) for row in rows.tolist())
+        rows = rows.astype(float, copy=False)
+        bits = rows.view(np.int64)
+        const = np.all(bits == bits[:1], axis=0) & (len(rows) > 0)
+        cells = ["%.17g"] * rows.shape[1]
+        for j in np.flatnonzero(const):
+            cells[j] = f"{rows[0, j]:.17g}"
+        template = ",".join(cells)
+        lines.extend(template % tuple(row) for row in rows[:, ~const].tolist())
     else:
         lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", newline="\n")

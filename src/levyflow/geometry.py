@@ -89,10 +89,10 @@ def is_proximal(a: np.ndarray, tol: float = 1e-9) -> bool:
 # -- (i-p) certification -------------------------------------------------------
 
 def _drift_times(n_samples: int, rng) -> list[float]:
-    """Sample times for drift exponentials: dyadic fractions of pi (to catch
-    rotation-density phenomena) topped up with uniform draws."""
+    """max(7, n_samples) drift exponential times: dyadic fractions of pi
+    (to catch rotation-density phenomena) topped up with uniform draws."""
     ts = [math.pi * 2.0 ** (-k) for k in range(6)] + [1.0]
-    while len(ts) < max(n_samples, 8):
+    while len(ts) < n_samples:
         ts.append(float(rng.uniform(0.05, 2.0 * math.pi)))
     return ts
 
@@ -146,33 +146,37 @@ def _real_eigvecs(a: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
     return out
 
 
-def _orbit_closure(start: np.ndarray, mats, act, cap: int):
-    """Close {start} under the maps act(v, m); None when the family exceeds cap."""
+def _orbit_closure(start: np.ndarray, act, cap: int):
+    """Close {start} under ``act``, which maps a (d, n) frontier of unit
+    columns to their (d, n * k) images under the k generators, frontier line
+    by generator in nested-loop order.  An image joins the family unless
+    |<w, u>| is within 1e-9 of 1 for a member u; None when the family
+    exceeds cap."""
     family = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in mats:
-                w = act(v, m)
-                if all(abs(abs(float(np.dot(w, u))) - 1.0) > 1e-9 for u in family):
-                    if len(family) >= cap:
-                        return None
-                    family.append(w)
-                    nxt.append(w)
-        frontier = nxt
+    frontier = start[:, None]
+    while frontier.size:
+        images = act(frontier)
+        size = len(family)
+        fresh = np.all(np.abs(np.abs(np.array(family) @ images) - 1.0) > 1e-9, axis=0)
+        for w in images.T[fresh]:
+            if all(abs(abs(float(np.dot(w, u))) - 1.0) > 1e-9 for u in family[size:]):
+                if len(family) >= cap:
+                    return None
+                family.append(w)
+        frontier = np.array(family[size:]).T
     return family
 
 
 def _find_invariant_family(gens, d: int, cap: int):
     """Finite invariant family of lines (or planes for d = 3) if one closes."""
-    mats = [m for _, m in gens]
+    mats = np.array([m for _, m in gens])
 
-    def act_line(v, m):
-        return canonical_unit(v @ m)
+    def act_line(vs):
+        return canonical_unit(np.einsum("if,kij->jfk", vs, mats).reshape(d, -1))
 
-    def act_normal(n, m):
-        return canonical_unit(np.linalg.solve(m, n))
+    def act_normal(ns):
+        images = np.linalg.solve(mats, np.broadcast_to(ns, (len(mats),) + ns.shape))
+        return canonical_unit(images.transpose(1, 2, 0).reshape(d, -1))
 
     candidates_lines: list[np.ndarray] = []
     candidates_normals: list[np.ndarray] = []
@@ -181,11 +185,11 @@ def _find_invariant_family(gens, d: int, cap: int):
         if d == 3:
             candidates_normals.extend(_real_eigvecs(m))
     for start in candidates_lines:
-        family = _orbit_closure(start, mats, act_line, cap)
+        family = _orbit_closure(start, act_line, cap)
         if family is not None:
             return {"kind": "lines", "vectors": np.array(family)}
     for start in candidates_normals:
-        family = _orbit_closure(start, mats, act_normal, cap)
+        family = _orbit_closure(start, act_normal, cap)
         if family is not None:
             return {"kind": "planes", "normals": np.array(family)}
     return None
@@ -246,8 +250,12 @@ def ip_certify(triplet: MatrixLevyTriplet, search_depth: int = 6,
     strong irreducibility, and the rotation-density patterns certify it.  A
     Gaussian part that is neither zero nor full rank leaves both halves
     undecided (its reachable directions are not captured by the generator
-    set), so the result is "unknown".
+    set), so the result is "unknown".  ``n_samples`` below 8 raises
+    ValueError; the random word search tries max(n_samples, 16) *
+    search_depth words.
     """
+    if n_samples < 8:
+        raise ValueError(f"n_samples must be at least 8, got {n_samples}")
     d = triplet.d
     sym = (triplet.sigma + triplet.sigma.T) / 2.0
     if triplet.has_gaussian_part():

@@ -119,6 +119,19 @@ class TestRunScenario:
         assert text.splitlines()[2] == b"nan,inf,-inf,4.9406564584124654e-324"
         assert text.splitlines()[3].split(b",")[1] == b"0.33333333333333331"
 
+    @pytest.mark.parametrize("column", [
+        np.full(5, 0.1), np.full(5, np.nan), np.array([0.0, 0.0, -0.0, 0.0, 0.0]),
+        np.array([1.0, 1.0, 1.0, 1.0, np.nextafter(1.0, 2.0)])],
+        ids=["constant", "constant_nan", "signed_zeros", "last_differs"])
+    def test_constant_columns_write_the_same_bytes(self, tmp_path, column):
+        """A column formatted once into the template (only when every entry
+        has the same bits) gives the per-cell bytes, for any row count."""
+        table = np.column_stack([np.arange(5) / 3.0, column, np.full(5, -2.5)])
+        for rows in (table, table[:1], table[:0]):
+            cli._write_csv(tmp_path / "array.csv", ["a", "b", "c"], rows)
+            cli._write_csv(tmp_path / "list.csv", ["a", "b", "c"], rows.tolist())
+            assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
 
 class TestConfigErrors:
     def test_missing_seed_is_named(self, tmp_path):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import levyflow as lf
@@ -114,6 +116,83 @@ class TestDrawOrder:
             assert not np.any(counts)
             assert rngs[0].bit_generator.state == replay.bit_generator.state
             assert rngs[1].bit_generator.state == replay.bit_generator.state
+
+
+def _rescanning_rounds(rng, scheme, n):
+    """The jump rounds of one step drawn as a loop that rescans all n paths
+    every round: [(path indices, atom choices, r = 1 - offset in units of
+    dt)], in the documented draw order."""
+    k = len(scheme.probs)
+    counts = rng.poisson(scheme.jump_rate * scheme.dt, n)
+    s = np.zeros(n)
+    rounds = []
+    while np.any(counts > 0):
+        act = np.flatnonzero(counts > 0)
+        choice = (rng.choice(k, size=act.size, p=scheme.probs) if k > 1
+                  else np.zeros(act.size, dtype=int))
+        u = rng.random(act.size)
+        s[act] += (1.0 - s[act]) * (1.0 - u ** (1.0 / counts[act]))
+        rounds.append((act, choice, 1.0 - s[act]))
+        counts[act] -= 1
+    return rounds
+
+
+@st.composite
+def _jump_cases(draw):
+    """d in {1, 2, 3}, a nonzero drift, 1-3 atoms with |det(I + a)| well
+    above DET_TOL, a jump rate, a step size and a seed."""
+    d = draw(st.integers(1, 3))
+    mat = lambda lo, hi: arrays(np.float64, (d, d), elements=st.floats(lo, hi))
+    drift = draw(mat(-2.0, 2.0).filter(lambda g: np.linalg.norm(g) > 0.1))
+    atoms = draw(st.lists(mat(-1.2, 1.2).filter(
+        lambda a: np.any(a != 0.0) and abs(np.linalg.det(np.eye(d) + a)) > 1e-6),
+        min_size=1, max_size=3))
+    jumps = lf.JumpSpec(rate=draw(st.floats(0.5, 40.0)),
+                        atoms=tuple((1.0 / len(atoms), a) for a in atoms))
+    return (_triplet(d, np.zeros((d * d, d * d)), drift, jumps),
+            draw(st.sampled_from([0.05, 0.25])), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_jump_cases())
+def test_jump_rounds_match_the_rescanning_solve_loop(case):
+    """Rounds over the still-active paths give the rescanning loop's path
+    sets and leave the generator in its state; each jump factor equals
+    I + solve(E(r), a @ E(r)) with E(r) = expm(r dt gamma^0) from the
+    scheme's own family (test_expm_family_matches_scipy checks it), within
+    1e-12 relative, and has the determinant of I + a."""
+    triplet, dt, seed = case
+    d, n = triplet.d, 60
+    scheme = _engine._StepScheme(triplet, dt)
+    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        plan = scheme.jump_plan(rng, n)
+        rounds = _rescanning_rounds(replay, scheme, n)
+        assert [act.tolist() for act, _ in plan] == [act.tolist() for act, _, _ in rounds]
+        for (_, f), (_, choice, r) in zip(plan, rounds):
+            a = triplet.marks[choice]
+            e = scheme.drift_exp(r)
+            want = np.eye(d) + np.linalg.solve(e, a @ e)
+            # relative to the summands I and E^{-1} a E: their sum may cancel
+            size = np.sqrt(d) + np.linalg.norm(want - np.eye(d), axis=(1, 2))
+            assert np.all(np.linalg.norm(f - want, axis=(1, 2)) <= 1e-12 * size)
+            assert np.all(np.abs(np.linalg.det(f) - np.linalg.det(np.eye(d) + a))
+                          <= 1e-12 * size ** d)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("d, atom", [(1, [[-1.0]]), (2, [[-1.0, 0.0], [0.0, 0.5]]),
+                                     (2, [[-1.0 + 1e-13, 0.3], [0.0, 0.5]])],
+                         ids=["d1_minus_one", "d2_diagonal", "d2_near_singular"])
+def test_singular_atom_is_refused(d, atom):
+    """|det(I + a)| <= DET_TOL raises SingularJump before any step runs: the
+    jump factors share det(I + a), so no run builds a singular one."""
+    jumps = lf.JumpSpec(rate=1.0, atoms=((0.5, np.array(atom)), (0.5, 0.2 * np.eye(d))))
+    triplet = _triplet(d, np.zeros((d * d, d * d)), 0.3 * np.eye(d), jumps)
+    with pytest.raises(lf.SingularJump):
+        _engine.evolve_vectors(triplet, np.eye(d), 1.0, 20, 0, [1.0], 0.1)
+    with pytest.raises(lf.SingularJump):
+        _engine.evolve_matrices(triplet, 1.0, 20, 0, [1.0], 0.1)
 
 
 class TestJumpAdaptedMean:

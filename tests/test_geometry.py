@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import levyflow as lf
+from levyflow import geometry
 from levyflow.cli import _gauss_bump
 
 SB2 = lf.builtin_triplet("standard_brownian(2)")
@@ -88,6 +89,103 @@ class TestIpCertify:
         cert = lf.ip_certify(trip, seed=0)
         assert cert.status == "falsified_irreducibility"
         assert cert.counterexample["kind"] == "lines"
+
+    @pytest.mark.parametrize("n_samples", [-3, 0, 7])
+    def test_too_few_samples_raise(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            lf.ip_certify(ROT, n_samples=n_samples, seed=0)
+
+
+def _closure_per_line(start, mats, act, cap):
+    """The orbit closure one frontier line and one generator at a time."""
+    family, frontier = [start], [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for m in mats:
+                w = act(v, m)
+                if all(abs(abs(float(np.dot(w, u))) - 1.0) > 1e-9 for u in family):
+                    if len(family) >= cap:
+                        return None
+                    family.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    return family
+
+
+def _family_per_line(gens, d, cap):
+    """_find_invariant_family with the per-line closure: lines v -> v m,
+    then (d = 3) plane normals n -> m^{-1} n."""
+    mats = [m for _, m in gens]
+    starts = [(s, lambda v, m: lf.canonical_unit(v @ m), "lines", "vectors")
+              for m in mats for s in geometry._real_eigvecs(m.T)]
+    if d == 3:
+        starts += [(s, lambda n, m: lf.canonical_unit(np.linalg.solve(m, n)), "planes",
+                    "normals") for m in mats for s in geometry._real_eigvecs(m)]
+    for start, act, kind, key in starts:
+        family = _closure_per_line(start, mats, act, cap)
+        if family is not None:
+            return {"kind": kind, key: np.array(family)}
+    return None
+
+
+def _random_generator_sets(n_sets):
+    """Generator sets in d = 1..3 of general, diagonal, signed-permutation
+    and triangular matrices; d = 2, 3 sets of signed permutations (a finite
+    group, so orbits close after several passes with several new lines per
+    pass); and d = 3 sets that fix a plane but no line."""
+    rng = np.random.default_rng(3)
+    for _ in range(n_sets // 2):
+        d = int(rng.integers(2, 4))
+        yield d, [np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+                  for _ in range(rng.integers(2, 5))]
+    for _ in range(n_sets):
+        d = int(rng.integers(1, 4))
+        kinds = [lambda: rng.standard_normal((d, d)),
+                 lambda: np.diag(rng.standard_normal(d)),
+                 lambda: np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d),
+                 lambda: np.triu(rng.standard_normal((d, d)))]
+        yield d, [kinds[rng.integers(4)]() for _ in range(rng.integers(1, 5))]
+    for _ in range(n_sets // 2):
+        mats = []
+        for _ in range(rng.integers(1, 4)):
+            th = rng.uniform(0.0, 2.0 * np.pi)
+            m = np.zeros((3, 3))
+            m[:2, :2] = rng.uniform(0.5, 2.0) * np.array([[np.cos(th), -np.sin(th)],
+                                                          [np.sin(th), np.cos(th)]])
+            m[2] = [*rng.standard_normal(2), rng.uniform(0.5, 2.0)]
+            mats.append(m)
+        yield 3, mats
+
+
+class TestOrbitSearch:
+    """The batched orbit search finds the per-line loop's family, bit for
+    bit, or None with it."""
+
+    @staticmethod
+    def _assert_same(gens, d, cap):
+        got, want = geometry._find_invariant_family(gens, d, cap), _family_per_line(gens, d, cap)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.keys() == want.keys() and got["kind"] == want["kind"]
+            key = "vectors" if want["kind"] == "lines" else "normals"
+            np.testing.assert_array_equal(got[key], want[key])
+        return want
+
+    @pytest.mark.parametrize("name", ["rotation_rank1", "irrational_rotation(1.0)",
+                                      "diagonal_reducible", "sl2_conservative"])
+    @pytest.mark.parametrize("cap", [2, 6, 12])
+    def test_builtin_catalog(self, name, cap):
+        triplet = lf.builtin_triplet(name)
+        gens = geometry._generators(triplet, 32, np.random.default_rng(0))
+        self._assert_same(gens, triplet.d, cap)
+
+    def test_random_generator_sets(self):
+        found = set()
+        for k, (d, mats) in enumerate(_random_generator_sets(120)):
+            want = self._assert_same([(str(i), m) for i, m in enumerate(mats)], d, 1 + k % 13)
+            found.add(None if want is None else want["kind"])
+        assert found == {None, "lines", "planes"}
 
 
 class TestGeneratorApply:

@@ -252,12 +252,27 @@ def _assert_matches(call, want, scale):
     assert np.all(np.linalg.norm(np.exp(logs) * states - want, axis=-1) <= 1e-12 * scale)
 
 
+SINGULAR_D1 = lf.MatrixLevyTriplet(d=1, sigma=np.zeros((1, 1)), gamma=np.array([[0.5]]),
+                                  jumps=lf.JumpSpec(rate=2.0, atoms=((1.0, np.array([[-1.0]])),)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_engine_cases())
+@example((SINGULAR_D1, np.ones((1, 1)), 3, 0.25, 4, 0))
 def test_engine_matches_per_path_products(case):
+    """The engine against per-path products; an atom with |det(I + a)| <=
+    DET_TOL (the draw allows one, e.g. a = -1 in d = 1) raises SingularJump
+    on every entry point instead."""
     triplet, starts, n_steps, dt, n_paths, seed = case
     t = n_steps * dt
     times = np.arange(n_steps + 1) * dt
+    if triplet.jumps.active and np.any(
+            np.abs(np.linalg.det(np.eye(triplet.d) + triplet.marks)) <= lf.DET_TOL):
+        for run in (lambda: _engine.evolve_vectors(triplet, starts, t, n_paths, seed, times, dt),
+                    lambda: _engine.evolve_matrices(triplet, t, n_paths, seed, times, dt)):
+            with pytest.raises(lf.SingularJump):
+                run()
+        return
     rows, row_scale = _reference_products(triplet, t, n_steps, n_paths, seed, starts)
     _assert_matches(lambda: _engine.evolve_vectors(triplet, starts, t, n_paths, seed, times, dt),
                     rows, row_scale)
