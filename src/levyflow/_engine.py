@@ -40,16 +40,34 @@ snapshot times and never overflow.
 
 A single batched RNG stream with a fixed per-step draw order drives each run:
 Gaussians (d^2 per path, or d in the short draw), then jump counts, then per
-jump round the atom choices and the offset uniforms.  Results are
-deterministic given the seed, independent of BLAS threading.
+jump round the atom choices and the offset uniforms.  The step loop in
+_evolve takes each step's normals from _step_normals and hands them to
+cont_factors, which draws nothing.  A run with jumps draws them inline, one
+call per step, as its jump draws follow each step's normals.  A jump-free run
+draws nothing else, so K = BLOCK // (normals per step) steps come from one
+standard_normal call, the same stream as K calls, and a worker thread fills
+the next block while the loop steps through the current one; a step larger
+than BLOCK or a run of at most one block draws inline.  Only one draw runs at
+a time and the blocks are taken in order, so the stream, and every result,
+does not depend on thread timing.  The worker is joined before the run
+returns or raises.  Results are deterministic given the seed, independent of
+BLAS threading.
 """
 from __future__ import annotations
+
+import contextlib
+import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import expm
 
 from ._linalg import expm_family, grid_indices, psd_factor
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
+
+
+# Doubles per block of prefetched normals (two blocks are kept, 1 MB).
+BLOCK = 2 ** 16
 
 
 class DegenerateNorm(ArithmeticError):
@@ -82,21 +100,27 @@ class _StepScheme:
             self.jump_rate = triplet.jumps.rate
             self.probs = triplet.rates / triplet.rates.sum()
             self.marks = triplet.marks
-            self.drift_exp = expm_family(self.dt * triplet.drift())
-            self.drift_exp_inv = expm_family(-self.dt * triplet.drift())
+            self.drift_exp = expm_family(self.dt * triplet.drift(), inverse=True)
         else:
             self.jump_rate = 0.0
 
-    def cont_factors(self, rng, n: int):
-        """(n, d, d) per-path factors D @ (I + dB), or the (d, d) drift factor
-        D shared by the whole batch when there is no Gaussian part.  The
-        per-path factors are a view of a paths-last (d, d, n) array.  With
+    def noise_shape(self, n: int):
+        """Shape of one step's standard normals for n paths: (d, n) with
+        ``row_noise``, else (n, d^2); None when there is no Gaussian part."""
+        if self.gauss is None:
+            return None
+        return (self.d, n) if self.row_noise else (n, self.d * self.d)
+
+    def cont_factors(self, z, n: int):
+        """(n, d, d) per-path factors D @ (I + dB) from the step's standard
+        normals z of shape ``noise_shape(n)``, or the (d, d) drift factor D
+        shared by the whole batch when there is no Gaussian part (z is None).
+        The per-path factors are a view of a paths-last (d, d, n) array.  With
         ``row_noise``, the paths-last (d, n) row noise A @ z instead."""
         if self.gauss is None:
             return self.drift_factor
         if self.row_noise:
-            return self.gauss @ rng.standard_normal((self.d, n))
-        z = rng.standard_normal((n, self.d * self.d))
+            return self.gauss @ z
         f = (self.gauss @ z.T).reshape(self.d, self.d, n)
         f += self.drift_factor[:, :, None]
         return f.transpose(2, 0, 1)
@@ -125,7 +149,8 @@ class _StepScheme:
             u = rng.random(act.size)
             s += (1.0 - s) * (1.0 - u ** (1.0 / counts))
             r = 1.0 - s
-            f = self.drift_exp_inv(r) @ self.marks[choice] @ self.drift_exp(r)
+            e, e_inv = self.drift_exp(r)
+            f = e_inv @ self.marks[choice] @ e
             f += np.eye(self.d)
             plan.append((act, f))
             left = counts > 1
@@ -143,6 +168,33 @@ def _rowvec_product(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     for k in range(1, f.shape[0]):
         out += v[:, k, None, :] * f[k]
     return out
+
+
+def _step_normals(rng, shape, n_steps: int, ahead: bool):
+    """Each step's standard normals of ``shape`` (None for no draw), in the
+    order of the stream.  With ``ahead`` (nothing else draws from ``rng``
+    during the run), blocks of K = BLOCK // size steps alternate between two
+    buffers, a worker thread filling the next while this one is used; a
+    step's normals are then a view, valid until the next step's are taken.
+    Close the generator to join the worker."""
+    k = BLOCK // math.prod(shape) if ahead and shape is not None else 0
+    if not 0 < k < n_steps:
+        for _ in range(n_steps):
+            yield None if shape is None else rng.standard_normal(shape)
+        return
+    n_blocks = -(-n_steps // k)
+    bufs = np.empty((2, k) + shape)
+
+    def fill(b):
+        return rng.standard_normal(out=bufs[b % 2, :min(k, n_steps - b * k)])
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        nxt = pool.submit(fill, 0)
+        for b in range(n_blocks):
+            block = nxt.result()
+            if b + 1 < n_blocks:
+                nxt = pool.submit(fill, b + 1)
+            yield from block
 
 
 def _snapshot_indices(snapshot_times, n_steps: int, dt: float):
@@ -185,20 +237,23 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
             out_logs[pos] = logs.T
 
     record(0)
-    for step in range(1, n_steps + 1):
-        if scheme.row_noise:
-            states = np.matmul(scheme.drift_factor.T, states)
-            states += (np.sqrt((states * states).sum(axis=1, keepdims=True))
-                       * scheme.cont_factors(rng, n_paths))
-        else:
-            states = _rowvec_product(states, scheme.cont_factors(rng, n_paths))
-        for act, f in scheme.jump_plan(rng, n_paths):
-            states[:, :, act] = _rowvec_product(states[:, :, act], f)
-        if norm is not None:
-            norms = np.sqrt((states * states).sum(axis=norm, keepdims=True))
-            logs = logs + np.log(norms).reshape(logs.shape)
-            states /= norms
-        record(step)
+    normals = _step_normals(rng, scheme.noise_shape(n_paths), n_steps,
+                            ahead=scheme.jump_rate == 0.0)
+    with contextlib.closing(normals):
+        for step in range(1, n_steps + 1):
+            if scheme.row_noise:
+                states = np.matmul(scheme.drift_factor.T, states)
+                states += (np.sqrt((states * states).sum(axis=1, keepdims=True))
+                           * scheme.cont_factors(next(normals), n_paths))
+            else:
+                states = _rowvec_product(states, scheme.cont_factors(next(normals), n_paths))
+            for act, f in scheme.jump_plan(rng, n_paths):
+                states[:, :, act] = _rowvec_product(states[:, :, act], f)
+            if norm is not None:
+                norms = np.sqrt((states * states).sum(axis=norm, keepdims=True))
+                logs = logs + np.log(norms).reshape(logs.shape)
+                states /= norms
+            record(step)
     if not (np.all(np.isfinite(out_states)) and np.all(np.isfinite(out_logs))):
         raise DegenerateNorm("engine state is not finite on some path")
     return times, out_states, out_logs

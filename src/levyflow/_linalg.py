@@ -74,25 +74,32 @@ def line_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def expm_family(a: np.ndarray):
-    """r -> the (m, d, d) stack of expm(r_i * a) for m scalars 0 <= r_i <= 1.
+def expm_family(a: np.ndarray, inverse: bool = False):
+    """r -> the (m, d, d) stack of expm(r_i * a) for m scalars 0 <= r_i <= 1;
+    with ``inverse``, r -> the pair (expm(r_i * a), expm(-r_i * a)).
 
     Each call is one vectorized pass (scipy's ``expm`` loops over a stack in
     Python): the degree-16 Taylor polynomial of r_i * a / 2^q, with q the
     least integer giving ||a||_1 / 2^q <= 1/2 (truncation error below
-    1e-19), squared q times.  The scaled powers of ``a`` are computed once.
+    1e-19), squared q times.  The scaled powers of ``a`` (and of -a) are
+    computed once, and a pair shares one table of the powers r_i^k, so each
+    of its stacks is bit for bit the stack of a family of a or of -a alone.
     The domain is r in [0, 1], the range the scaling q is chosen for; for
-    expm(-r_i * a) build a second family of -a rather than passing negative
-    r (a negative base makes the powers r ** k far slower).
+    expm(-r_i * a) take the pair (or a family of -a) rather than passing
+    negative r (a negative base makes the powers r ** k far slower).
     """
     q = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(a, 1) + 1e-300))))
-    terms = np.stack([np.linalg.matrix_power(a / 2.0 ** q, k).ravel() / math.factorial(k)
-                      for k in range(17)])
+    terms = [np.stack([np.linalg.matrix_power(b / 2.0 ** q, k).ravel() / math.factorial(k)
+                       for k in range(17)]) for b in ((a, -a) if inverse else (a,))]
 
-    def at(r) -> np.ndarray:
+    def at(r):
         r = np.asarray(r, dtype=float)
-        e = (r[:, None] ** np.arange(17) @ terms).reshape(len(r), *a.shape)
-        for _ in range(q):
-            e = e @ e
-        return e
+        powers = r[:, None] ** np.arange(17)
+        out = []
+        for t in terms:
+            e = (powers @ t).reshape(len(r), *a.shape)
+            for _ in range(q):
+                e = e @ e
+            out.append(e)
+        return tuple(out) if inverse else out[0]
     return at

@@ -106,24 +106,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
+_CSV_CHUNK = 4096  # float rows formatted per % call
+
+
 def _write_csv(path: Path, header, rows) -> None:
     """rows: a list of rows of mixed cells, or a float ndarray, which is
-    written with one row template; both give the same bytes for floats.  A
-    column holding one value (bit for bit) throughout is formatted once, into
-    the template."""
-    lines = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-        rows = rows.astype(float, copy=False)
-        bits = rows.view(np.int64)
-        const = np.all(bits == bits[:1], axis=0) & (len(rows) > 0)
-        cells = ["%.17g"] * rows.shape[1]
-        for j in np.flatnonzero(const):
-            cells[j] = f"{rows[0, j]:.17g}"
-        template = ",".join(cells)
-        lines.extend(template % tuple(row) for row in rows[:, ~const].tolist())
-    else:
-        lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    written with one row template, one % call per chunk of rows; both give
+    the same bytes for floats.  A column holding one value (bit for bit)
+    throughout is formatted once, into the template."""
+    with path.open("w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            rows = rows.astype(float, copy=False)
+            bits = rows.view(np.int64)
+            const = np.all(bits == bits[:1], axis=0) & (len(rows) > 0)
+            cells = ["%.17g"] * rows.shape[1]
+            for j in np.flatnonzero(const):
+                cells[j] = f"{rows[0, j]:.17g}"
+            template = ",".join(cells) + "\n"
+            body = rows[:, ~const]
+            for i in range(0, len(body), _CSV_CHUNK):
+                chunk = body[i:i + _CSV_CHUNK]
+                fh.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
+        else:
+            fh.writelines(",".join(_fmt(x) for x in row) + "\n" for row in rows)
 
 
 def _param(params: dict, key: str, kind, default=_MISSING, least=None, above=None):

@@ -125,9 +125,11 @@ class TestRunScenario:
         ids=["constant", "constant_nan", "signed_zeros", "last_differs"])
     def test_constant_columns_write_the_same_bytes(self, tmp_path, column):
         """A column formatted once into the template (only when every entry
-        has the same bits) gives the per-cell bytes, for any row count."""
-        table = np.column_stack([np.arange(5) / 3.0, column, np.full(5, -2.5)])
-        for rows in (table, table[:1], table[:0]):
+        has the same bits) gives the per-cell bytes, for any row count, also
+        one row past a chunk of rows formatted by one % call."""
+        n = cli._CSV_CHUNK + 1
+        table = np.column_stack([np.arange(n) / 3.0, np.resize(column, n), np.full(n, -2.5)])
+        for rows in (table, table[:5], table[:1], table[:0]):
             cli._write_csv(tmp_path / "array.csv", ["a", "b", "c"], rows)
             cli._write_csv(tmp_path / "list.csv", ["a", "b", "c"], rows.tolist())
             assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,20 +57,19 @@ class TestContFactors:
         triplet = GAUSSIAN_TRIPLETS[name]
         d, dt, n = triplet.d, 0.05, 400
         scheme = _engine._StepScheme(triplet, dt)
-        f = scheme.cont_factors(np.random.default_rng(3), n)
         z = np.random.default_rng(3).standard_normal((n, d * d))
+        assert scheme.noise_shape(n) == z.shape
+        f = scheme.cont_factors(z, n)
         np.testing.assert_allclose(f, _unfolded_factors(triplet, dt, z),
                                    rtol=1e-13, atol=1e-13)
 
     def test_drift_only_factor_is_shared_and_draws_nothing(self):
         triplet = lf.builtin_triplet("rotation_rank1")
         scheme = _engine._StepScheme(triplet, 0.1)
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        f = scheme.cont_factors(rng, 50)
+        assert scheme.noise_shape(50) is None
+        f = scheme.cont_factors(None, 50)
         assert f.shape == (2, 2)
         np.testing.assert_array_equal(f, expm(0.1 * triplet.drift()))
-        assert rng.bit_generator.state == before
 
 
 def _random_noncommuting_cpp() -> lf.MatrixLevyTriplet:
@@ -89,7 +90,8 @@ class TestDrawOrder:
         probs = np.array([0.25, 0.75])
         marks = np.stack([a for _, a in TWO_ATOMS.atoms])
         for _ in range(5):
-            factors = [s.cont_factors(r, n) for s, r in zip(schemes, rngs)]
+            factors = [s.cont_factors(r.standard_normal(s.noise_shape(n)), n)
+                       for s, r in zip(schemes, rngs)]
             plans = [s.jump_plan(r, n) for s, r in zip(schemes, rngs)]
             np.testing.assert_array_equal(factors[0], factors[1])
             assert len(plans[0]) == len(plans[1]) > 1
@@ -171,7 +173,7 @@ def test_jump_rounds_match_the_rescanning_solve_loop(case):
         assert [act.tolist() for act, _ in plan] == [act.tolist() for act, _, _ in rounds]
         for (_, f), (_, choice, r) in zip(plan, rounds):
             a = triplet.marks[choice]
-            e = scheme.drift_exp(r)
+            e, _ = scheme.drift_exp(r)
             want = np.eye(d) + np.linalg.solve(e, a @ e)
             # relative to the summands I and E^{-1} a E: their sum may cancel
             size = np.sqrt(d) + np.linalg.norm(want - np.eye(d), axis=(1, 2))
@@ -221,6 +223,18 @@ def test_expm_family_matches_scipy(scale):
         expected = expm(r[:, None, None] * a)
         np.testing.assert_allclose(expm_family(a)(r), expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 5.0, 40.0])
+def test_expm_pair_is_two_families_bit_for_bit(scale):
+    """The pair of one table of powers r^k is the stacks of the families of
+    a and of -a, each built alone."""
+    rng = np.random.default_rng(6)
+    a = scale * rng.standard_normal((3, 3))
+    r = np.r_[0.0, rng.random(50), 1.0]
+    e, e_inv = expm_family(a, inverse=True)(r)
+    assert e.tobytes() == expm_family(a)(r).tobytes()
+    assert e_inv.tobytes() == expm_family(-a)(r).tobytes()
 
 
 @pytest.mark.parametrize("triplet", [MIXED, lf.builtin_triplet("rotation_rank1"),
@@ -347,3 +361,97 @@ class TestRowProducts:
         np.testing.assert_allclose(shared.transpose(2, 0, 1),
                                    np.stack([v[p] @ f[0] for p in range(40)]),
                                    rtol=1e-13, atol=1e-13)
+
+
+def _per_step_normals(rng, shape, n_steps, ahead):
+    """The reference draw: one standard_normal call per step."""
+    for _ in range(n_steps):
+        yield None if shape is None else rng.standard_normal(shape)
+
+
+# Steps per prefetched block in these tests: BLOCK is patched to K steps.
+K, N_PATHS, DT = 3, 5, 0.1
+PREFETCH_CASES = {  # triplet, starts (None: matrices), renormalize
+    "row_noise": (GAUSSIAN_TRIPLETS["sb2_with_drift"], [[1.0, 0.0]], True),
+    "full_draw_rows": (GAUSSIAN_TRIPLETS["sb2_with_drift"], np.eye(2), True),
+    "full_draw_matrices": (GAUSSIAN_TRIPLETS["d3_rank4"], None, True),
+    "d1_rows": (GAUSSIAN_TRIPLETS["gbm1"], [[1.0]], True),
+    "d1_matrices": (GAUSSIAN_TRIPLETS["gbm1"], None, True),
+    "not_renormalized": (GAUSSIAN_TRIPLETS["sb2_with_drift"], None, False),
+    "with_jumps": (MIXED, None, True),
+}
+
+
+def _prefetch_run(case, n_steps):
+    """A run of the case, and the doubles one of its steps draws."""
+    triplet, starts, renormalize = PREFETCH_CASES[case]
+    t, times = n_steps * DT, np.arange(n_steps + 1) * DT
+    scheme = _engine._StepScheme(triplet, DT, single_row=starts is not None and len(starts) == 1)
+    if starts is None:
+        run = lambda: _engine.evolve_matrices(triplet, t, N_PATHS, 4, times, DT, renormalize)
+    else:
+        run = lambda: _engine.evolve_vectors(triplet, starts, t, N_PATHS, 4, times, DT)
+    return run, int(np.prod(scheme.noise_shape(N_PATHS)))
+
+
+def _worker_threads(monkeypatch, run, fail_at=None):
+    """Threads alive at the run's cont_factors calls beyond those alive
+    before it (the most seen), checking that none is left when it returns or
+    raises; with ``fail_at`` the step loop raises at that call."""
+    seen, cont_factors = [], _engine._StepScheme.cont_factors
+
+    def spy(self, z, n):
+        seen.append(threading.active_count())
+        if len(seen) == fail_at:
+            raise RuntimeError("step failed")
+        return cont_factors(self, z, n)
+
+    monkeypatch.setattr(_engine._StepScheme, "cont_factors", spy)
+    before = threading.active_count()
+    if fail_at is None:
+        run()
+    else:
+        with pytest.raises(RuntimeError, match="step failed"):
+            run()
+    assert threading.active_count() == before
+    return max(seen) - before
+
+
+class TestPrefetch:
+    @pytest.mark.parametrize("n_steps", [K - 1, K, K + 1, 2 * K + 1])
+    @pytest.mark.parametrize("case", sorted(PREFETCH_CASES))
+    def test_outputs_equal_per_step_draws(self, monkeypatch, case, n_steps):
+        """Blocks of K steps from one draw, the next drawn on a worker, give
+        the bytes of one standard_normal call per step, across block ends
+        and in a last partial block."""
+        run, size = _prefetch_run(case, n_steps)
+        monkeypatch.setattr(_engine, "BLOCK", K * size)
+        got = run()
+        monkeypatch.setattr(_engine, "_step_normals", _per_step_normals)
+        want = run()
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("case, n_steps, block_steps, workers", [
+        ("full_draw_matrices", 2 * K + 1, K, 1),
+        ("row_noise", K + 1, K, 1),
+        ("full_draw_matrices", K, K, 0),
+        ("with_jumps", 2 * K + 1, K, 0),
+        ("full_draw_matrices", 2 * K + 1, 0.9, 0),
+    ], ids=["prefetch", "prefetch_row_noise", "one_block", "jumps", "step_above_block"])
+    def test_worker_only_for_jump_free_runs_of_blocks(self, monkeypatch, case, n_steps,
+                                                      block_steps, workers):
+        """One worker thread draws ahead in a jump-free run longer than a
+        block; a run with jumps, a step above BLOCK or a single block draw
+        inline.  No thread outlives the run."""
+        run, size = _prefetch_run(case, n_steps)
+        monkeypatch.setattr(_engine, "BLOCK", int(block_steps * size))
+        assert _worker_threads(monkeypatch, run) == workers
+
+    @pytest.mark.parametrize("fail_at", [1, K + 1, 2 * K + 1])
+    def test_no_thread_outlives_a_raising_run(self, monkeypatch, fail_at):
+        """A step loop that raises in the first block, at a block's first
+        step or in the last block still joins the worker."""
+        run, size = _prefetch_run("full_draw_rows", 2 * K + 1)
+        monkeypatch.setattr(_engine, "BLOCK", K * size)
+        assert _worker_threads(monkeypatch, run, fail_at) == 1

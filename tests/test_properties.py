@@ -215,7 +215,8 @@ def _reference_products(triplet, t, n_steps, n_paths, seed, starts=None):
     scale = np.ones(n_paths)
     xs, scales = [np.array(x)], [scale.copy()]
     for _ in range(n_steps):
-        f = scheme.cont_factors(rng, n_paths)
+        shape = scheme.noise_shape(n_paths)
+        f = scheme.cont_factors(None if shape is None else rng.standard_normal(shape), n_paths)
         for p in range(n_paths):
             if scheme.row_noise:
                 w = x[p] @ drift
@@ -325,8 +326,10 @@ def test_short_draw_has_the_law_of_the_full_draw(case):
     assert short.row_noise and not full.row_noise
     rng = np.random.default_rng(seed)
     w = y @ short.drift_factor
-    short_rows = w + np.linalg.norm(w) * short.cont_factors(rng, n).T
-    full_rows = np.einsum("j,pjk->pk", y, full.cont_factors(rng, n))
+    short_rows = w + np.linalg.norm(w) * short.cont_factors(
+        rng.standard_normal(short.noise_shape(n)), n).T
+    full_rows = np.einsum("j,pjk->pk", y, full.cont_factors(
+        rng.standard_normal(full.noise_shape(n)), n))
     m_s, se_s, c_s, cse_s = _moments(short_rows)
     m_f, se_f, c_f, cse_f = _moments(full_rows)
     # entries with no noise (C rank-deficient) differ by rounding only
