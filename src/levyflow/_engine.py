@@ -38,20 +38,25 @@ state's Frobenius norm, or nothing with renormalize=False.  The log-scale is
 accumulated separately, so long-horizon norm statistics are exact at
 snapshot times and never overflow.
 
-A single batched RNG stream with a fixed per-step draw order drives each run:
-Gaussians (d^2 per path, or d in the short draw), then jump counts, then per
-jump round the atom choices and the offset uniforms.  The step loop in
-_evolve takes each step's normals from _step_normals and hands them to
-cont_factors, which draws nothing.  A run with jumps draws them inline, one
-call per step, as its jump draws follow each step's normals.  A jump-free run
-draws nothing else, so K = BLOCK // (normals per step) steps come from one
-standard_normal call, the same stream as K calls, and a worker thread fills
-the next block while the loop steps through the current one; a step larger
-than BLOCK or a run of at most one block draws inline.  Only one draw runs at
-a time and the blocks are taken in order, so the stream, and every result,
-does not depend on thread timing.  The worker is joined before the run
-returns or raises.  Results are deterministic given the seed, independent of
-BLAS threading.
+A run draws from its own generators.  Its normals (d^2 per path-step, or d
+in the short draw) are the one stream of default_rng(seed), and nothing else
+draws from it: the step loop in _evolve takes each step's normals from
+_step_normals and hands them to cont_factors, which draws nothing.  K =
+BLOCK // (normals per step) steps come from one standard_normal call, the
+same stream as K calls, and a worker thread fills the next block while the
+loop steps through the current one; a step larger than BLOCK or a run of at
+most one block draws inline.  Its jumps come from four more streams, the
+children (JUMP_KEY, i) of the seed's SeedSequence, derived with a fixed spawn
+key so that a SeedSequence seed is left as it was.  They are planned a block
+of steps at a time (in about BLOCK doubles of memory): each step's total from
+the count stream, then per jump a path, an offset and an atom, each from its
+own stream; a sort by (step, path, offset) gives each jump its round, and
+one elementwise pass builds all of the block's factors.  Each stream is read
+in step order, and a factor depends on its own jump only, so no result
+depends on the block sizes or on thread timing: only one normal draw runs at
+a time and the blocks are taken in order.  The worker is joined before the
+run returns or raises.  Results are deterministic given the seed,
+independent of BLAS threading.
 """
 from __future__ import annotations
 
@@ -62,12 +67,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.linalg import expm
 
-from ._linalg import expm_family, grid_indices, psd_factor
+from ._linalg import expm_pair_last, grid_indices, matmul_last, psd_factor
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
 
 
-# Doubles per block of prefetched normals (two blocks are kept, 1 MB).
+# Doubles per block of prefetched normals (two blocks are kept, 1 MB), and
+# about the doubles a planned block of jumps works in (see planned_jumps).
 BLOCK = 2 ** 16
+# Spawn key, under the run's seed, of its jump streams (the bytes "jump").
+JUMP_KEY = 0x6A756D70
 
 
 class DegenerateNorm(ArithmeticError):
@@ -99,8 +107,8 @@ class _StepScheme:
                                    f"{triplet.marks[np.argmax(singular)]!r}")
             self.jump_rate = triplet.jumps.rate
             self.probs = triplet.rates / triplet.rates.sum()
-            self.marks = triplet.marks
-            self.drift_exp = expm_family(self.dt * triplet.drift(), inverse=True)
+            self.marks_last = triplet.marks.transpose(1, 2, 0)
+            self.drift_exp = expm_pair_last(self.dt * triplet.drift())
         else:
             self.jump_rate = 0.0
 
@@ -125,37 +133,109 @@ class _StepScheme:
         f += self.drift_factor[:, :, None]
         return f.transpose(2, 0, 1)
 
-    def jump_plan(self, rng, n: int):
-        """[(path indices, (m, d, d) factors)] rounds covering all jumps this step.
+    def draw_jumps(self, streams, n: int, k: int):
+        """The jumps of k steps on n paths, as arrays ordered by (step, round,
+        path): each jump's step, path, round (the rank of its offset in its
+        cell), offset in units of dt and atom index.
 
-        Round k gives each path with at least k jumps its k-th jump: an atom a
-        and an offset s, the next order statistic of the path's jump times in
-        the cell, with factor I + e^{-r gamma^0} a e^{r gamma^0}, r = dt - s.
-        Offsets are kept in units of dt.  Each round works on the paths still
-        holding jumps, a shrinking subset of the previous round's.
+        ``streams`` are the run's four jump generators (``_jump_streams``).
+        Each step's total is Poisson(rate dt n), and each jump takes a uniform
+        path, a uniform offset and an atom from its own stream; by Poisson
+        splitting, each cell (path-step) then holds an independent
+        Poisson(rate dt) count of jumps with i.i.d. uniform offsets and atoms,
+        the law of per-cell draws.  Each stream is read in step order, so the
+        arrays do not depend on how a run's steps are split into blocks.
         """
-        if self.jump_rate == 0.0:
-            return []
-        counts = rng.poisson(self.jump_rate * self.dt, n)
-        act = np.flatnonzero(counts)
-        counts = counts[act]
-        s = np.zeros(act.size)
-        plan = []
-        while act.size:
-            if len(self.probs) > 1:
-                choice = rng.choice(len(self.probs), size=act.size, p=self.probs)
-            else:
-                choice = np.zeros(act.size, dtype=int)
-            u = rng.random(act.size)
-            s += (1.0 - s) * (1.0 - u ** (1.0 / counts))
-            r = 1.0 - s
-            e, e_inv = self.drift_exp(r)
-            f = e_inv @ self.marks[choice] @ e
-            f += np.eye(self.d)
-            plan.append((act, f))
-            left = counts > 1
-            act, counts, s = act[left], counts[left] - 1, s[left]
-        return plan
+        counts, paths, offsets, atoms = streams
+        totals = counts.poisson(self.jump_rate * self.dt * n, k)
+        size = int(totals.sum())
+        step = np.repeat(np.arange(k), totals)
+        path = paths.integers(0, n, size)
+        offset = offsets.random(size)
+        atom = (atoms.choice(len(self.probs), size, p=self.probs) if len(self.probs) > 1
+                else np.zeros(size, dtype=np.intp))
+        if size == 0:  # every array is empty, the rounds too
+            return step, path, step, offset, atom
+        # group by cell, then order offsets inside the cells holding several
+        cell = step * n + path
+        order = np.argsort(cell, kind="stable")
+        cell = cell[order]
+        same = cell[1:] == cell[:-1]
+        if same.any():
+            multi = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+            order[multi] = order[multi[np.lexsort((offset[order[multi]], cell[multi]))]]
+        del cell
+        rnd = np.arange(size)
+        rnd -= np.maximum.accumulate(np.where(np.r_[True, ~same], rnd, 0))
+        # a stable sort on (step, round) keeps each round's paths ascending
+        by_round = np.argsort(step[order] * (rnd.max() + 1) + rnd, kind="stable")
+        order = order[by_round]
+        return step[order], path[order], rnd[by_round], offset[order], atom[order]
+
+    def jump_factors(self, offset, atom):
+        """Paths-last (d, d, J) factors I + e^{-r gamma^0} a e^{r gamma^0},
+        r = 1 - offset in units of dt, of J jumps in one elementwise pass."""
+        e, e_inv = self.drift_exp(1.0 - offset)
+        a = self.marks_last if len(self.probs) == 1 else self.marks_last[:, :, atom]
+        f = matmul_last(e_inv, a)
+        del e_inv, a
+        f = matmul_last(f, e)
+        for i in range(self.d):
+            f[i, i] += 1.0
+        return f
+
+    def planned_jumps(self, seed, n: int, n_steps: int):
+        """Each step's jump rounds, in step order, for ``jump_plan``: the
+        jumps of a block of K steps are drawn (``draw_jumps``) and their
+        factors built (``jump_factors``) at once, and each step's rounds are
+        slices of the block's arrays.  K steps are expected to hold BLOCK / 4
+        doubles of factors, so that the block's whole working set (with the
+        two exponential families, a product's temporary and the sort keys)
+        stays near BLOCK doubles.  A step expected to hold more is a block
+        of its own."""
+        streams = _jump_streams(seed)
+        per_step = 4 * self.d * self.d * max(1.0, self.jump_rate * self.dt * n)
+        k = max(1, min(n_steps, int(BLOCK // per_step)))
+        for first in range(0, n_steps, k):
+            # no name outlives the block, so its arrays go before the next
+            yield from self._block_rounds(streams, n, min(k, n_steps - first))
+
+    def _block_rounds(self, streams, n: int, k: int):
+        """The rounds of each of k steps, slices of one block's arrays."""
+        step, path, rnd, offset, atom = self.draw_jumps(streams, n, k)
+        f = self.jump_factors(offset, atom)
+        rounds = [[] for _ in range(k)]
+        if step.size:
+            lo = np.flatnonzero(np.r_[True, (step[1:] != step[:-1]) | (rnd[1:] != rnd[:-1])])
+            hi = np.r_[lo[1:], step.size]
+            for s, a, b in zip(step[lo].tolist(), lo.tolist(), hi.tolist()):
+                rounds[s].append((path[a:b], f[:, :, a:b]))
+        return rounds
+
+    def jump_plan(self, planned):
+        """[(path indices, paths-last (d, d, m) factors)] rounds covering all
+        jumps this step: the next item of the run's ``planned_jumps``, which
+        draws and builds a block of steps' jumps at a time; [] for a
+        jump-free scheme.
+
+        Round k gives each path with at least k jumps in the step its k-th
+        jump in time order: an atom a and an offset s, with factor
+        I + e^{-r gamma^0} a e^{r gamma^0}, r = dt - s.  Each round's paths
+        are ascending and a subset of the previous round's; its factors are a
+        view of the block's array.
+        """
+        return next(planned) if self.jump_rate else []
+
+
+def _jump_streams(seed):
+    """The run's four jump generators, of counts, paths, offsets and atoms:
+    children (JUMP_KEY, i) of the seed's SeedSequence, derived with a fixed
+    spawn key.  SeedSequence.spawn would advance the seed object's counter,
+    so one SeedSequence passed to two runs would give two different runs."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.default_rng(np.random.SeedSequence(
+        seq.entropy, spawn_key=(*seq.spawn_key, JUMP_KEY, i), pool_size=seq.pool_size))
+        for i in range(4)]
 
 
 def _rowvec_product(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -163,21 +243,18 @@ def _rowvec_product(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     or shared (d, d) factors; the result is paths-last (m, d, p)."""
     if f.ndim == 2:
         return np.matmul(f.T, v)
-    f = f.transpose(1, 2, 0)
-    out = v[:, 0, None, :] * f[0]
-    for k in range(1, f.shape[0]):
-        out += v[:, k, None, :] * f[k]
-    return out
+    return matmul_last(v, f.transpose(1, 2, 0))
 
 
-def _step_normals(rng, shape, n_steps: int, ahead: bool):
+def _step_normals(rng, shape, n_steps: int):
     """Each step's standard normals of ``shape`` (None for no draw), in the
-    order of the stream.  With ``ahead`` (nothing else draws from ``rng``
-    during the run), blocks of K = BLOCK // size steps alternate between two
-    buffers, a worker thread filling the next while this one is used; a
-    step's normals are then a view, valid until the next step's are taken.
-    Close the generator to join the worker."""
-    k = BLOCK // math.prod(shape) if ahead and shape is not None else 0
+    order of the stream, which nothing else draws from during the run.
+    Blocks of K = BLOCK // size steps alternate between two buffers, a
+    worker thread filling the next while this one is used; a step's normals
+    are then a view, valid until the next step's are taken.  A step larger
+    than BLOCK, or a run of at most one block, draws inline.  Close the
+    generator to join the worker."""
+    k = BLOCK // math.prod(shape) if shape is not None else 0
     if not 0 < k < n_steps:
         for _ in range(n_steps):
             yield None if shape is None else rng.standard_normal(shape)
@@ -237,8 +314,8 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
             out_logs[pos] = logs.T
 
     record(0)
-    normals = _step_normals(rng, scheme.noise_shape(n_paths), n_steps,
-                            ahead=scheme.jump_rate == 0.0)
+    planned = scheme.planned_jumps(seed, n_paths, n_steps) if scheme.jump_rate else None
+    normals = _step_normals(rng, scheme.noise_shape(n_paths), n_steps)
     with contextlib.closing(normals):
         for step in range(1, n_steps + 1):
             if scheme.row_noise:
@@ -247,8 +324,8 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
                            * scheme.cont_factors(next(normals), n_paths))
             else:
                 states = _rowvec_product(states, scheme.cont_factors(next(normals), n_paths))
-            for act, f in scheme.jump_plan(rng, n_paths):
-                states[:, :, act] = _rowvec_product(states[:, :, act], f)
+            for act, f in scheme.jump_plan(planned):
+                states[:, :, act] = matmul_last(states.take(act, axis=2), f)
             if norm is not None:
                 norms = np.sqrt((states * states).sum(axis=norm, keepdims=True))
                 logs = logs + np.log(norms).reshape(logs.shape)
@@ -268,6 +345,7 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     (n_paths, m, d) array gives each path its own start vectors instead.
     Returns (times, dirs, logs) with dirs of shape (k, n_paths, m, d) holding
     unit vectors and logs of shape (k, n_paths, m) holding log ||y @ X_t||.
+    A start row whose norm is zero or not finite raises ValueError.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim == 1:
@@ -277,8 +355,11 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     if starts.shape[0] != n_paths:
         raise ValueError("per-path starts must have leading dimension n_paths")
     v = starts.astype(float)
-    norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
     del v  # only the unit rows below stay alive during the loop
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise ValueError("start rows need a finite, nonzero norm")
     return _evolve(triplet, T, seed, snapshot_times, dt, starts / norms[..., None],
                    np.log(norms), (1,))
 

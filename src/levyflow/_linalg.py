@@ -13,7 +13,7 @@ import numpy as np
 
 __all__ = [
     "op_norm", "fro_norm", "psd_factor", "OffGrid", "grid_indices", "line_fit",
-    "expm_family",
+    "expm_family", "expm_pair_last", "matmul_last",
 ]
 
 
@@ -74,32 +74,76 @@ def line_fit(x, y) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def expm_family(a: np.ndarray, inverse: bool = False):
-    """r -> the (m, d, d) stack of expm(r_i * a) for m scalars 0 <= r_i <= 1;
-    with ``inverse``, r -> the pair (expm(r_i * a), expm(-r_i * a)).
+def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for paths-last stacks: out[i, j, p] = sum_k a[i, k, p] b[k, j, p]
+    for a of shape (m, d, p) and b of shape (d, l, p), a last axis of 1
+    broadcasting.  Each term is one unit-stride pass over the paths, where a
+    stacked matmul of 2 x 2 matrices would loop over the tiny axes."""
+    out = a[:, 0, None] * b[0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[k]
+    return out
+
+
+def _taylor_table(a: np.ndarray):
+    """(q, T): q the least integer giving ||a||_1 / 2^q <= 1/2, and T the
+    (17, d*d) table of (a / 2^q)^k / k!, k = 0..16, flattened row-major."""
+    q = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(a, 1) + 1e-300))))
+    return q, np.stack([np.linalg.matrix_power(a / 2.0 ** q, k).ravel() / math.factorial(k)
+                        for k in range(17)])
+
+
+def expm_family(a: np.ndarray):
+    """r -> the (m, d, d) stack of expm(r_i * a) for m scalars 0 <= r_i <= 1.
 
     Each call is one vectorized pass (scipy's ``expm`` loops over a stack in
-    Python): the degree-16 Taylor polynomial of r_i * a / 2^q, with q the
-    least integer giving ||a||_1 / 2^q <= 1/2 (truncation error below
-    1e-19), squared q times.  The scaled powers of ``a`` (and of -a) are
-    computed once, and a pair shares one table of the powers r_i^k, so each
-    of its stacks is bit for bit the stack of a family of a or of -a alone.
-    The domain is r in [0, 1], the range the scaling q is chosen for; for
-    expm(-r_i * a) take the pair (or a family of -a) rather than passing
-    negative r (a negative base makes the powers r ** k far slower).
+    Python): the degree-16 Taylor polynomial of r_i * a / 2^q
+    (``_taylor_table``; truncation error below 1e-19) from one table of the
+    powers r_i^k, squared q times.  The domain is r in [0, 1], the range the
+    scaling q is chosen for.
     """
-    q = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(a, 1) + 1e-300))))
-    terms = [np.stack([np.linalg.matrix_power(b / 2.0 ** q, k).ravel() / math.factorial(k)
-                       for k in range(17)]) for b in ((a, -a) if inverse else (a,))]
+    q, table = _taylor_table(a)
 
     def at(r):
         r = np.asarray(r, dtype=float)
-        powers = r[:, None] ** np.arange(17)
+        e = (r[:, None] ** np.arange(17) @ table).reshape(len(r), *a.shape)
+        for _ in range(q):
+            e = e @ e
+        return e
+    return at
+
+
+def expm_pair_last(a: np.ndarray):
+    """r -> the paths-last (d, d, m) stacks (expm(r_i * a), expm(-r_i * a))
+    for m scalars 0 <= r_i <= 1, from the Taylor table of ``expm_family``.
+    With P(r) = E(r^2) + r O(r^2) split into its even and odd powers, each
+    by Horner's rule, the pair is (E + r O, E - r O): one polynomial pass
+    serves both signs.  Everything is elementwise (the squarings are
+    ``matmul_last``): no per-element ``pow``, no stacked matmul of tiny
+    matrices, and each r_i's matrices are bit for bit the same whatever
+    other scalars share the call (a BLAS product's rounding may depend on a
+    column's place in a block).  Negating a negates exactly the odd terms,
+    so the pair of -a is the pair of a swapped, bit for bit.
+    """
+    q, table = _taylor_table(a)
+
+    def horner(terms, x):
+        p = np.repeat(terms[-1][:, None], x.size, axis=1)
+        for t in terms[-2::-1]:
+            p *= x
+            p += t[:, None]
+        return p
+
+    def at(r):
+        r = np.asarray(r, dtype=float)
+        s = r * r
+        even, odd = horner(table[0::2], s), horner(table[1::2], s)
+        odd *= r
         out = []
-        for t in terms:
-            e = (powers @ t).reshape(len(r), *a.shape)
+        for e in (even + odd, even - odd):
+            e = e.reshape(*a.shape, r.size)
             for _ in range(q):
-                e = e @ e
+                e = matmul_last(e, e)
             out.append(e)
-        return tuple(out) if inverse else out[0]
+        return tuple(out)
     return at

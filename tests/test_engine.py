@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.linalg import expm
 
 import levyflow as lf
 from levyflow import _engine
-from levyflow._linalg import expm_family, psd_factor
+from levyflow._linalg import expm_family, expm_pair_last, psd_factor
 
 
 def _triplet(d, sigma, drift, jumps=lf.JumpSpec()) -> lf.MatrixLevyTriplet:
@@ -81,61 +82,65 @@ def _random_noncommuting_cpp() -> lf.MatrixLevyTriplet:
                     lf.JumpSpec(rate=1.5, atoms=atoms))
 
 
+def _replayed_jumps(seed, scheme, n, k):
+    """The documented jump draws of k steps on n paths, in stream order:
+    from the children (JUMP_KEY, i) of SeedSequence(seed), the step totals,
+    then per jump a path, an offset and an atom, each from its own stream.
+    Returns (step, path, offset, atom) and the four generators."""
+    streams = [np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(_engine.JUMP_KEY, i))) for i in range(4)]
+    totals = streams[0].poisson(scheme.jump_rate * scheme.dt * n, k)
+    step = np.repeat(np.arange(k), totals)
+    path = streams[1].integers(0, n, step.size)
+    offset = streams[2].random(step.size)
+    atom = (streams[3].choice(len(scheme.probs), step.size, p=scheme.probs)
+            if len(scheme.probs) > 1 else np.zeros(step.size, dtype=int))
+    return (step, path, offset, atom), streams
+
+
 class TestDrawOrder:
     def test_equal_seeds_consume_identical_draws(self):
-        dt, n = 0.1, 300
+        """Equal seeds plan equal rounds.  The jumps are the documented draws
+        from the run's own streams, (JUMP_KEY, i) under the seed, and leave
+        each stream where the replay leaves it; round k of a step holds the
+        paths with more than k jumps in it, ascending."""
+        dt, n, k, seed = 0.1, 300, 5, 11
         schemes = [_engine._StepScheme(MIXED, dt) for _ in range(2)]
-        rngs = [np.random.default_rng(11) for _ in range(2)]
-        replay = np.random.default_rng(11)
-        probs = np.array([0.25, 0.75])
-        marks = np.stack([a for _, a in TWO_ATOMS.atoms])
-        for _ in range(5):
-            factors = [s.cont_factors(r.standard_normal(s.noise_shape(n)), n)
-                       for s, r in zip(schemes, rngs)]
-            plans = [s.jump_plan(r, n) for s, r in zip(schemes, rngs)]
-            np.testing.assert_array_equal(factors[0], factors[1])
-            assert len(plans[0]) == len(plans[1]) > 1
-            for (act0, f0), (act1, f1) in zip(*plans):
-                np.testing.assert_array_equal(act0, act1)
-                np.testing.assert_array_equal(f0, f1)
-            # documented order: Gaussians, then jump counts, then per round
-            # the atom choices and the offset uniforms
-            z = replay.standard_normal((n, 4))
-            np.testing.assert_allclose(factors[0], _unfolded_factors(MIXED, dt, z),
-                                       rtol=1e-13, atol=1e-13)
-            counts = replay.poisson(3.0 * dt, n)
-            offset = np.zeros(n)
-            for act, f in plans[0]:
-                np.testing.assert_array_equal(act, np.flatnonzero(counts > 0))
-                choice = replay.choice(2, size=act.size, p=probs)
-                u = replay.random(act.size)
-                # the next order statistic of counts[act] uniforms on (offset, dt)
-                offset[act] += (dt - offset[act]) * (1.0 - u ** (1.0 / counts[act]))
-                r = (dt - offset[act])[:, None, None] * MIXED.drift()
-                np.testing.assert_allclose(f, expm(-r) @ (np.eye(2) + marks[choice]) @ expm(r),
-                                           rtol=1e-12, atol=1e-12)
-                counts[act] -= 1
-            assert not np.any(counts)
-            assert rngs[0].bit_generator.state == replay.bit_generator.state
-            assert rngs[1].bit_generator.state == replay.bit_generator.state
+        plans = [s.planned_jumps(seed, n, k) for s in schemes]
+        (step, path, _, atom), replay = _replayed_jumps(seed, schemes[0], n, k)
+        for s in range(k):
+            rounds = [sch.jump_plan(p) for sch, p in zip(schemes, plans)]
+            assert len(rounds[0]) == len(rounds[1]) >= 1
+            for (act0, f0), (act1, f1) in zip(*rounds):
+                assert act0.tobytes() == act1.tobytes() and f0.tobytes() == f1.tobytes()
+            counts = np.bincount(path[step == s], minlength=n)
+            for j, (act, _) in enumerate(rounds[0]):
+                np.testing.assert_array_equal(act, np.flatnonzero(counts > j))
+            assert len(rounds[0]) == counts.max()
+        with pytest.raises(StopIteration):
+            schemes[0].jump_plan(plans[0])
+
+        streams = _engine._jump_streams(seed)
+        got = schemes[0].draw_jumps(streams, n, k)
+        assert sorted(zip(got[0].tolist(), got[1].tolist(), got[4].tolist())) == sorted(
+            zip(step.tolist(), path.tolist(), atom.tolist()))
+        for mine, theirs in zip(streams, replay):
+            assert mine.bit_generator.state == theirs.bit_generator.state
 
 
-def _rescanning_rounds(rng, scheme, n):
-    """The jump rounds of one step drawn as a loop that rescans all n paths
-    every round: [(path indices, atom choices, r = 1 - offset in units of
-    dt)], in the documented draw order."""
-    k = len(scheme.probs)
-    counts = rng.poisson(scheme.jump_rate * scheme.dt, n)
-    s = np.zeros(n)
+def _rescanning_rounds(draws, n, s):
+    """Step s's jump rounds from the drawn (step, path, offset, atom) arrays,
+    by a loop that rescans all n paths every round and takes each path's
+    next jump in time order: [(path indices, atom indices, r = 1 - offset)]."""
+    step, path, offset, atom = draws
+    pending = [sorted((offset[j], atom[j]) for j in np.flatnonzero((step == s) & (path == p)))
+               for p in range(n)]
     rounds = []
-    while np.any(counts > 0):
-        act = np.flatnonzero(counts > 0)
-        choice = (rng.choice(k, size=act.size, p=scheme.probs) if k > 1
-                  else np.zeros(act.size, dtype=int))
-        u = rng.random(act.size)
-        s[act] += (1.0 - s[act]) * (1.0 - u ** (1.0 / counts[act]))
-        rounds.append((act, choice, 1.0 - s[act]))
-        counts[act] -= 1
+    while any(pending):
+        act = [p for p in range(n) if pending[p]]
+        picked = [pending[p].pop(0) for p in act]
+        rounds.append((np.array(act), np.array([a for _, a in picked]),
+                       1.0 - np.array([o for o, _ in picked])))
     return rounds
 
 
@@ -155,32 +160,66 @@ def _jump_cases(draw):
             draw(st.sampled_from([0.05, 0.25])), draw(st.integers(0, 2 ** 32 - 1)))
 
 
+def _assert_jump_factors(triplet, dt, f, atom, r):
+    """(m, d, d) factors equal I + solve(E(r), a E(r)), E(r) = expm(r dt
+    gamma^0) from scipy, within 1e-12 relative, with det(I + a)."""
+    d = triplet.d
+    a = triplet.marks[atom]
+    e = expm(r[:, None, None] * dt * triplet.drift())
+    want = np.eye(d) + np.linalg.solve(e, a @ e)
+    # relative to the summands I and E^{-1} a E: their sum may cancel
+    size = np.sqrt(d) + np.linalg.norm(want - np.eye(d), axis=(1, 2))
+    assert np.all(np.linalg.norm(f - want, axis=(1, 2)) <= 1e-12 * size)
+    assert np.all(np.abs(np.linalg.det(f) - np.linalg.det(np.eye(d) + a))
+                  <= 1e-12 * size ** d)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_jump_cases())
 def test_jump_rounds_match_the_rescanning_solve_loop(case):
-    """Rounds over the still-active paths give the rescanning loop's path
-    sets and leave the generator in its state; each jump factor equals
-    I + solve(E(r), a @ E(r)) with E(r) = expm(r dt gamma^0) from the
-    scheme's own family (test_expm_family_matches_scipy checks it), within
-    1e-12 relative, and has the determinant of I + a."""
+    """Each step's rounds, sliced from a block planned at once, give the
+    path sets of a loop that rescans all paths every round over the drawn
+    jumps, and each round's factors are those of the jumps it picks (see
+    _assert_jump_factors)."""
     triplet, dt, seed = case
-    d, n = triplet.d, 60
+    n, k = 60, 3
     scheme = _engine._StepScheme(triplet, dt)
-    rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        plan = scheme.jump_plan(rng, n)
-        rounds = _rescanning_rounds(replay, scheme, n)
+    planned = scheme.planned_jumps(seed, n, k)
+    draws, _ = _replayed_jumps(seed, scheme, n, k)
+    for s in range(k):
+        plan = scheme.jump_plan(planned)
+        rounds = _rescanning_rounds(draws, n, s)
         assert [act.tolist() for act, _ in plan] == [act.tolist() for act, _, _ in rounds]
-        for (_, f), (_, choice, r) in zip(plan, rounds):
-            a = triplet.marks[choice]
-            e, _ = scheme.drift_exp(r)
-            want = np.eye(d) + np.linalg.solve(e, a @ e)
-            # relative to the summands I and E^{-1} a E: their sum may cancel
-            size = np.sqrt(d) + np.linalg.norm(want - np.eye(d), axis=(1, 2))
-            assert np.all(np.linalg.norm(f - want, axis=(1, 2)) <= 1e-12 * size)
-            assert np.all(np.abs(np.linalg.det(f) - np.linalg.det(np.eye(d) + a))
-                          <= 1e-12 * size ** d)
-    assert rng.bit_generator.state == replay.bit_generator.state
+        for (_, f), (_, atom, r) in zip(plan, rounds):
+            _assert_jump_factors(triplet, dt, f.transpose(2, 0, 1), atom, r)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_jump_cases())
+def test_jump_block_has_the_law_of_per_cell_draws(case):
+    """A block's cell (path-step) counts have the mean and variance of
+    Poisson(rate dt) and its atoms the frequencies of their probabilities,
+    within |z| <= 4; the offsets ascend with the round inside each cell; the
+    factors are I + e^{-r gamma^0} a e^{r gamma^0} (_assert_jump_factors)."""
+    triplet, dt, seed = case
+    n, k = 100, 12
+    scheme = _engine._StepScheme(triplet, dt)
+    step, path, rnd, offset, atom = scheme.draw_jumps(_engine._jump_streams(seed), n, k)
+    lam, cells = triplet.jumps.rate * dt, n * k
+    counts = np.bincount(step * n + path, minlength=cells)
+    assert abs(counts.mean() - lam) <= 4.0 * np.sqrt(lam / cells)
+    assert abs(counts.var(ddof=1) - lam) <= 4.0 * np.sqrt((lam + 2.0 * lam ** 2) / cells)
+    p, jumps = scheme.probs, step.size
+    freq = np.bincount(atom, minlength=len(p))
+    assert np.all(np.abs(freq - jumps * p) <= 4.0 * np.sqrt(jumps * p * (1 - p)) + 1e-9)
+    by_cell = np.lexsort((rnd, path, step))
+    cell, rnd_c, off_c = (step * n + path)[by_cell], rnd[by_cell], offset[by_cell]
+    inside = cell[1:] == cell[:-1]
+    assert np.all(rnd_c[1:][inside] == rnd_c[:-1][inside] + 1)
+    assert np.all(rnd_c[1:][~inside] == 0) and (not rnd.size or rnd_c[0] == 0)
+    assert np.all(off_c[1:][inside] >= off_c[:-1][inside])
+    f = scheme.jump_factors(offset, atom).transpose(2, 0, 1)
+    _assert_jump_factors(triplet, dt, f, atom, 1.0 - offset)
 
 
 @pytest.mark.parametrize("d, atom", [(1, [[-1.0]]), (2, [[-1.0, 0.0], [0.0, 0.5]]),
@@ -220,21 +259,29 @@ def test_expm_family_matches_scipy(scale):
     rng = np.random.default_rng(4)
     for a in (scale * rng.standard_normal((3, 3)), scale * np.array([[0.0, 1.0], [0.0, 0.0]])):
         r = np.r_[0.0, rng.random(20), 1.0]
-        expected = expm(r[:, None, None] * a)
-        np.testing.assert_allclose(expm_family(a)(r), expected, rtol=1e-12,
-                                   atol=1e-12 * np.abs(expected).max())
+        e, e_inv = expm_pair_last(a)(r)
+        for got, b in ((expm_family(a)(r), a), (e.transpose(2, 0, 1), a),
+                       (e_inv.transpose(2, 0, 1), -a)):
+            expected = expm(r[:, None, None] * b)
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.3, 5.0, 40.0])
 def test_expm_pair_is_two_families_bit_for_bit(scale):
-    """The pair of one table of powers r^k is the stacks of the families of
-    a and of -a, each built alone."""
+    """The paths-last pair of a is the pair of -a swapped, each stack built
+    from its own matrix alone, and each scalar's matrices do not depend on
+    the other scalars of the call."""
     rng = np.random.default_rng(6)
     a = scale * rng.standard_normal((3, 3))
     r = np.r_[0.0, rng.random(50), 1.0]
-    e, e_inv = expm_family(a, inverse=True)(r)
-    assert e.tobytes() == expm_family(a)(r).tobytes()
-    assert e_inv.tobytes() == expm_family(-a)(r).tobytes()
+    e, e_inv = expm_pair_last(a)(r)
+    f, f_inv = expm_pair_last(-a)(r)
+    assert e.tobytes() == f_inv.tobytes() and e_inv.tobytes() == f.tobytes()
+    for part in (slice(3, 10), slice(17, 18), slice(50, 52)):
+        got, got_inv = expm_pair_last(a)(r[part])
+        assert got.tobytes() == e[:, :, part].tobytes()
+        assert got_inv.tobytes() == e_inv[:, :, part].tobytes()
 
 
 @pytest.mark.parametrize("triplet", [MIXED, lf.builtin_triplet("rotation_rank1"),
@@ -325,6 +372,7 @@ class TestRowProducts:
         _, dirs, logs = _engine.evolve_vectors(triplet, y0, t, n, 17, times, dt)
         drift, a = expm(dt * triplet.drift()), psd_factor(c) * np.sqrt(dt)
         jumps = _engine._StepScheme(triplet, dt)
+        planned = jumps.planned_jumps(17, n, len(times) - 1) if jumps.jump_rate else None
         rng = np.random.default_rng(17)
         y = np.tile(y0 / np.linalg.norm(y0), (n, 1))
         log = np.full(n, np.log(np.linalg.norm(y0)))
@@ -333,9 +381,9 @@ class TestRowProducts:
             for p in range(n):
                 w = y[p] @ drift
                 y[p] = w + np.linalg.norm(w) * (a @ z[:, p])
-            for act, f in jumps.jump_plan(rng, n):
+            for act, f in jumps.jump_plan(planned):
                 for j, p in enumerate(act):
-                    y[p] = y[p] @ f[j]
+                    y[p] = y[p] @ f[:, :, j]
             norms = np.linalg.norm(y, axis=1)
             log += np.log(norms)
             y /= norms[:, None]
@@ -363,7 +411,7 @@ class TestRowProducts:
                                    rtol=1e-13, atol=1e-13)
 
 
-def _per_step_normals(rng, shape, n_steps, ahead):
+def _per_step_normals(rng, shape, n_steps):
     """The reference draw: one standard_normal call per step."""
     for _ in range(n_steps):
         yield None if shape is None else rng.standard_normal(shape)
@@ -436,14 +484,14 @@ class TestPrefetch:
         ("full_draw_matrices", 2 * K + 1, K, 1),
         ("row_noise", K + 1, K, 1),
         ("full_draw_matrices", K, K, 0),
-        ("with_jumps", 2 * K + 1, K, 0),
+        ("with_jumps", 2 * K + 1, K, 1),
         ("full_draw_matrices", 2 * K + 1, 0.9, 0),
     ], ids=["prefetch", "prefetch_row_noise", "one_block", "jumps", "step_above_block"])
     def test_worker_only_for_jump_free_runs_of_blocks(self, monkeypatch, case, n_steps,
                                                       block_steps, workers):
-        """One worker thread draws ahead in a jump-free run longer than a
-        block; a run with jumps, a step above BLOCK or a single block draw
-        inline.  No thread outlives the run."""
+        """One worker thread draws ahead in a run longer than a block, with
+        or without jumps; a step above BLOCK or a single block draws inline.
+        No thread outlives the run."""
         run, size = _prefetch_run(case, n_steps)
         monkeypatch.setattr(_engine, "BLOCK", int(block_steps * size))
         assert _worker_threads(monkeypatch, run) == workers
@@ -455,3 +503,79 @@ class TestPrefetch:
         run, size = _prefetch_run("full_draw_rows", 2 * K + 1)
         monkeypatch.setattr(_engine, "BLOCK", K * size)
         assert _worker_threads(monkeypatch, run, fail_at) == 1
+
+    def test_no_thread_outlives_a_raising_run_with_jumps(self, monkeypatch):
+        """A run with jumps prefetches its normals too, and a step loop that
+        raises at a block's first step still joins the worker."""
+        run, size = _prefetch_run("with_jumps", 2 * K + 1)
+        monkeypatch.setattr(_engine, "BLOCK", K * size)
+        assert _worker_threads(monkeypatch, run, K + 1) == 1
+
+
+JUMP_RUNS = {"with_gaussian": MIXED, "jumps_only": _random_noncommuting_cpp()}
+
+
+@pytest.mark.parametrize("name", sorted(JUMP_RUNS))
+def test_jump_runs_do_not_depend_on_block_or_threads(monkeypatch, name):
+    """BLOCK patched so that blocks of 1 to 10 steps' jumps are planned at
+    once, with the normals inline or prefetched 1 to 3 steps a block on the
+    worker, and a run drawing its normals per step with no worker, all give
+    the bytes of a run at the default BLOCK."""
+    triplet = JUMP_RUNS[name]
+    n_steps = 2 * K + 1
+    times = np.arange(n_steps + 1) * DT
+    run = lambda: _engine.evolve_matrices(triplet, n_steps * DT, N_PATHS, 4, times, DT)
+    want = run()
+    blocks, draw_jumps = [], _engine._StepScheme.draw_jumps
+
+    def spy(self, streams, n, k):
+        blocks.append(k)
+        return draw_jumps(self, streams, n, k)
+
+    monkeypatch.setattr(_engine._StepScheme, "draw_jumps", spy)
+    for block in (6, 24, 48, 72, 144, 240):
+        monkeypatch.setattr(_engine, "BLOCK", block)
+        for got, w in zip(run(), want):
+            assert got.tobytes() == w.tobytes()
+    monkeypatch.setattr(_engine, "_step_normals", _per_step_normals)
+    for got, w in zip(run(), want):
+        assert got.tobytes() == w.tobytes()
+    assert min(blocks) == 1 and max(blocks) > 3
+
+
+def test_one_seed_sequence_gives_equal_runs():
+    """The jump streams come from a fixed spawn key, so a SeedSequence seed
+    is left as it was: the same object passed to two runs with jumps (and
+    an equal fresh one, and the int it holds) gives the same bytes."""
+    seq = np.random.SeedSequence(9)
+    child = np.random.SeedSequence(9).spawn(1)[0]
+    for triplet in (MIXED, _random_noncommuting_cpp()):
+        run = lambda seed: _engine.evolve_matrices(triplet, 1.0, 50, seed, [0.5, 1.0], 0.1)
+        want = run(seq)
+        for seed in (seq, np.random.SeedSequence(9), 9):
+            for got, w in zip(run(seed), want):
+                assert got.tobytes() == w.tobytes()
+        first = run(child)
+        for got, w in zip(run(child), first):
+            assert got.tobytes() == w.tobytes()
+    assert seq.n_children_spawned == 0 and child.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("starts", [
+    [[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]], [[np.nan, 1.0]], [[np.inf, 0.0]],
+    np.r_[np.ones((4, 1, 2)), np.zeros((1, 1, 2))],
+    np.r_[np.ones((4, 1, 2)), np.full((1, 1, 2), np.nan)],
+], ids=["shared_zero", "shared_second_zero", "shared_nan", "shared_inf",
+        "per_path_zero", "per_path_nan"])
+def test_degenerate_start_rows_raise_before_any_step(monkeypatch, starts):
+    """A zero or non-finite start row, shared or per path, raises ValueError
+    before any step runs and without a floating-point warning."""
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(_engine, "_evolve", no_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="start rows"):
+            _engine.evolve_vectors(lf.builtin_triplet("standard_brownian(2)"), starts, 1.0, 5,
+                                   1, [1.0])

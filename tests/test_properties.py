@@ -198,9 +198,10 @@ def _row_isotropic(sigma, d):
 def _reference_products(triplet, t, n_steps, n_paths, seed, starts=None):
     """X at every grid time per path as a plain product, or with (m, d)
     ``starts`` the rows starts @ X, each step's draw replayed from
-    cont_factors / jump_plan on a fresh generator, and the running product
-    of the factors' Frobenius norms (the scale the rounding error of a
-    product is bounded by; for rows, times each start row's norm).  A
+    cont_factors on a fresh generator and jump_plan on fresh jump streams of
+    the seed, and the running product of the factors' Frobenius norms (the
+    scale the rounding error of a product is bounded by; for rows, times
+    each start row's norm).  A
     single start row on a row-isotropic Gaussian part in d >= 2 replays the
     short draw the engine takes there: w = y D, y <- w + |w| (A z)."""
     d, dt = triplet.d, t / n_steps
@@ -210,6 +211,7 @@ def _reference_products(triplet, t, n_steps, n_paths, seed, starts=None):
                                 and _row_isotropic(triplet.sigma, d))
     drift = expm(dt * triplet.drift())
     rng = np.random.default_rng(seed)
+    planned = scheme.planned_jumps(seed, n_paths, n_steps) if scheme.jump_rate else None
     x = [np.eye(d) if starts is None else np.array(starts, dtype=float)
          for _ in range(n_paths)]
     scale = np.ones(n_paths)
@@ -226,10 +228,10 @@ def _reference_products(triplet, t, n_steps, n_paths, seed, starts=None):
             fp = f if f.ndim == 2 else f[p]
             x[p] = x[p] @ fp
             scale[p] *= np.linalg.norm(fp)
-        for act, fj in scheme.jump_plan(rng, n_paths):
+        for act, fj in scheme.jump_plan(planned):
             for k, p in enumerate(act):
-                x[p] = x[p] @ fj[k]
-                scale[p] *= np.linalg.norm(fj[k])
+                x[p] = x[p] @ fj[:, :, k]
+                scale[p] *= np.linalg.norm(fj[:, :, k])
         xs.append(np.array(x))
         scales.append(scale.copy())
     scales = np.array(scales)
