@@ -5,7 +5,7 @@ length dt, the continuous factor F = D @ (I + dB) with D = expm(dt * gamma^0),
 then one jump-adapted factor per jump in the cell (Bruti-Liberati & Platen
 2007).  Jump offsets s are drawn in continuous time inside the cell, and a
 jump with mark a at offset s, r = dt - s, applies I + e^{-r gamma^0} a
-e^{r gamma^0} = e^{-r gamma^0} (I + a) e^{r gamma^0}, built from two
+e^{r gamma^0} = e^{-r gamma^0} (I + a) e^{r gamma^0}, built from one pair of
 exponential families fixed per run (of gamma^0 and of -gamma^0, so no round
 solves a system); it has the determinant of I + a, so a run whose atoms all
 have |det(I + a)| > DET_TOL never builds a singular factor, and any other
@@ -15,8 +15,10 @@ D e^{-r_1 gamma^0}(I + a_1) e^{r_1 gamma^0} ... = e^{s_1 gamma^0}(I + a_1)
 e^{(s_2 - s_1) gamma^0} ... (I + a_k) e^{(dt - s_k) gamma^0}, the exact
 product, so the scheme is exact for sigma = 0 at any dt; with sigma > 0,
 E[D (I + dB)] = D and the noise is independent of the jumps, so E[X_t] is
-exact too.  D is folded once into the triplet's Brownian factor G, which
-gives dB = G @ z for standard normals z: with G'[m, j] = sum_k D[m, k] G[k, j],
+exact too.  D is the same pair's e^{r gamma^0} at r = dt, built with or
+without jumps, so it is bit for bit the exponential of a jump at offset 0.
+D is folded once into the triplet's Brownian factor G, which gives dB = G @ z
+for standard normals z: with G'[m, j] = sum_k D[m, k] G[k, j],
 F = D + G' @ z.  Inside the step loop the state is paths-last: m rows
 of length d are a C-contiguous (m, d, n_paths) array, their log-scales
 (m, n_paths) or (n_paths,), and the Gaussian factors (d, d, n_paths).
@@ -65,10 +67,9 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._linalg import expm_pair_last, grid_indices, matmul_last, psd_factor
-from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
+from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
 
 
 # Doubles per block of prefetched normals (two blocks are kept, 1 MB), and
@@ -90,7 +91,8 @@ class _StepScheme:
     def __init__(self, triplet: MatrixLevyTriplet, dt: float, single_row: bool = False):
         self.d = triplet.d
         self.dt = float(dt)
-        self.drift_factor = expm(self.dt * triplet.drift())
+        self.drift_exp = expm_pair_last(self.dt * triplet.drift())
+        self.drift_factor = self.drift_exp([1.0])[0][:, :, 0].copy()
         self.row_noise = (single_row and self.d >= 2 and triplet.has_gaussian_part()
                           and triplet.row_covariance is not None)
         if self.row_noise:
@@ -101,14 +103,13 @@ class _StepScheme:
         else:
             self.gauss = None
         if triplet.jumps.active:
-            singular = np.abs(np.linalg.det(np.eye(self.d) + triplet.marks)) <= DET_TOL
+            singular = singular_step(triplet.marks)
             if singular.any():
                 raise SingularJump(f"|det(I + a)| <= {DET_TOL} for atom "
                                    f"{triplet.marks[np.argmax(singular)]!r}")
             self.jump_rate = triplet.jumps.rate
             self.probs = triplet.rates / triplet.rates.sum()
             self.marks_last = triplet.marks.transpose(1, 2, 0)
-            self.drift_exp = expm_pair_last(self.dt * triplet.drift())
         else:
             self.jump_rate = 0.0
 

@@ -4,6 +4,11 @@ Throughout the package ``vec`` stacks matrix columns, so entry (m, j) of a
 d x d matrix sits at flat index ``j*d + m``.  The d^2 x d^2 covariance of
 vec(L) therefore holds the covariance between components L^(m,j) and
 L^(n,l) at position (j*d+m, l*d+n).
+
+``expm_pair_last`` is the package's one matrix exponential: the engine's
+drift factor and jump rounds, the exact walker's cell factors, the target of
+``mean_check`` and the drift generators of ``geometry`` all come from it, so
+importing the package does not load ``scipy.linalg``.
 """
 from __future__ import annotations
 
@@ -12,23 +17,12 @@ import math
 import numpy as np
 
 __all__ = [
-    "op_norm", "fro_norm", "psd_factor", "OffGrid", "grid_indices", "line_fit",
-    "expm_family", "expm_pair_last", "matmul_last",
+    "psd_factor", "OffGrid", "grid_indices", "line_fit", "expm_pair_last", "matmul_last",
 ]
 
 
 class OffGrid(ValueError):
     """A requested time is not a point of the time grid."""
-
-
-def op_norm(a: np.ndarray) -> float:
-    """Operator (spectral) 2-norm."""
-    return float(np.linalg.norm(a, 2))
-
-
-def fro_norm(a: np.ndarray) -> float:
-    """Frobenius norm, i.e. the Euclidean norm of vec(a)."""
-    return float(np.linalg.norm(a))
 
 
 def psd_factor(sigma: np.ndarray) -> np.ndarray:
@@ -85,47 +79,26 @@ def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _taylor_table(a: np.ndarray):
-    """(q, T): q the least integer giving ||a||_1 / 2^q <= 1/2, and T the
-    (17, d*d) table of (a / 2^q)^k / k!, k = 0..16, flattened row-major."""
-    q = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(a, 1) + 1e-300))))
-    return q, np.stack([np.linalg.matrix_power(a / 2.0 ** q, k).ravel() / math.factorial(k)
-                        for k in range(17)])
-
-
-def expm_family(a: np.ndarray):
-    """r -> the (m, d, d) stack of expm(r_i * a) for m scalars 0 <= r_i <= 1.
-
-    Each call is one vectorized pass (scipy's ``expm`` loops over a stack in
-    Python): the degree-16 Taylor polynomial of r_i * a / 2^q
-    (``_taylor_table``; truncation error below 1e-19) from one table of the
-    powers r_i^k, squared q times.  The domain is r in [0, 1], the range the
-    scaling q is chosen for.
-    """
-    q, table = _taylor_table(a)
-
-    def at(r):
-        r = np.asarray(r, dtype=float)
-        e = (r[:, None] ** np.arange(17) @ table).reshape(len(r), *a.shape)
-        for _ in range(q):
-            e = e @ e
-        return e
-    return at
-
-
 def expm_pair_last(a: np.ndarray):
     """r -> the paths-last (d, d, m) stacks (expm(r_i * a), expm(-r_i * a))
-    for m scalars 0 <= r_i <= 1, from the Taylor table of ``expm_family``.
-    With P(r) = E(r^2) + r O(r^2) split into its even and odd powers, each
-    by Horner's rule, the pair is (E + r O, E - r O): one polynomial pass
-    serves both signs.  Everything is elementwise (the squarings are
-    ``matmul_last``): no per-element ``pow``, no stacked matmul of tiny
-    matrices, and each r_i's matrices are bit for bit the same whatever
-    other scalars share the call (a BLAS product's rounding may depend on a
-    column's place in a block).  Negating a negates exactly the odd terms,
-    so the pair of -a is the pair of a swapped, bit for bit.
+    for m scalars 0 <= r_i <= 1: the package's one matrix exponential
+    (scaling and squaring, Moler & Van Loan's method 3).
+
+    With q the least integer giving ||a||_1 / 2^q <= 1/2, the degree-16
+    Taylor polynomial P of r_i * a / 2^q (truncation error below 1e-19) is
+    split into its even and odd powers, P(r) = E(r^2) + r O(r^2), each by
+    Horner's rule, so the pair is (E + r O, E - r O): one polynomial pass
+    serves both signs; each is then squared q times.  Everything is
+    elementwise (the squarings are ``matmul_last``): no per-element ``pow``,
+    no stacked matmul of tiny matrices, and each r_i's matrices are bit for
+    bit the same whatever other scalars share the call (a BLAS product's
+    rounding may depend on a column's place in a block).  Negating a
+    negates exactly the odd terms, so the pair of -a is the pair of a
+    swapped, bit for bit.  A zero a gives the identity exactly.
     """
-    q, table = _taylor_table(a)
+    q = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(a, 1) + 1e-300))))
+    table = np.stack([np.linalg.matrix_power(a / 2.0 ** q, k).ravel() / math.factorial(k)
+                      for k in range(17)])
 
     def horner(terms, x):
         p = np.repeat(terms[-1][:, None], x.size, axis=1)

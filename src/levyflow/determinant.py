@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_model import MatrixLevyTriplet, SingularJump
+from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
 from .path_sampler import LevyPath
 
 __all__ = [
@@ -55,9 +55,11 @@ def check_characteristics(triplet: MatrixLevyTriplet) -> CheckTriplet:
     """Characteristic triplet and mean of log|D| from the driving triplet."""
     d = triplet.d
     r, marks = triplet.rates, triplet.marks
-    sign, v = np.linalg.slogdet(np.eye(d) + marks)
-    if np.any(sign == 0.0):
-        raise SingularJump("det(I + a) = 0 for a jump atom")
+    singular = singular_step(marks)
+    if singular.any():
+        raise SingularJump(f"|det(I + a)| <= {DET_TOL} for atom "
+                           f"{marks[np.argmax(singular)]!r}")
+    v = np.linalg.slogdet(np.eye(d) + marks)[1]
     # compensated part of each atom: trace a_i for ||vec a_i|| <= 1
     comp = np.trace(marks, axis1=1, axis2=2) * (np.linalg.norm(marks, axis=(1, 2)) <= 1.0)
     base = float(np.trace(triplet.gamma)) - 0.5 * _s2(triplet.sigma, d)

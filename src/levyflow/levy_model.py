@@ -22,13 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import op_norm, psd_factor
+from ._linalg import psd_factor
 
 __all__ = [
     "PSD_TOL", "DET_TOL",
     "JumpSpec", "MatrixLevyTriplet", "ValidationReport", "MomentReport",
     "UnknownName", "SingularJump",
-    "validate", "moment_check", "builtin_triplet",
+    "singular_step", "validate", "moment_check", "builtin_triplet",
     "triplet_to_config", "triplet_from_config",
 ]
 
@@ -41,7 +41,17 @@ class UnknownName(ValueError):
 
 
 class SingularJump(ValueError):
-    """A jump mark a has det(I + a) = 0, so I + a is not invertible."""
+    """A jump mark a has |det(I + a)| <= DET_TOL (``singular_step``), so I + a
+    counts as not invertible."""
+
+
+def singular_step(a) -> np.ndarray:
+    """Where the step factor I + a counts as singular, |det(I + a)| <=
+    DET_TOL: the one rule for jump atoms and marks and for Emery cell
+    increments.  ``a`` is one (d, d) matrix or a (k, d, d) stack; the result
+    is a boolean of shape () or (k,)."""
+    a = np.asarray(a, dtype=float)
+    return np.abs(np.linalg.det(np.eye(a.shape[-1]) + a)) <= DET_TOL
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -194,7 +204,7 @@ def validate(triplet: MatrixLevyTriplet) -> ValidationReport:
         bad.append(("dimension", f"d must be >= 1, got {d}", None))
 
     sigma = triplet.sigma
-    scale = max(op_norm((sigma + sigma.T) / 2.0), 1e-300)
+    scale = max(float(np.linalg.norm((sigma + sigma.T) / 2.0, 2)), 1e-300)
     asym = float(np.max(np.abs(sigma - sigma.T)))
     if asym > 1e-10 * max(scale, 1.0):
         bad.append(("sigma-symmetric", f"sigma asymmetry {asym:.3e}", None))
@@ -218,8 +228,8 @@ def validate(triplet: MatrixLevyTriplet) -> ValidationReport:
             bad.append(("jump-prob-positive", f"atom {i} has probability {p}", i))
         if not np.any(a != 0.0):
             bad.append(("jump-atom-nonzero", f"atom {i} is the zero matrix", i))
-        if abs(np.linalg.det(np.eye(d) + a)) <= DET_TOL:
-            bad.append(("nonsingular-jump", f"atom {i}: det(I + a) vanishes", i))
+        if singular_step(a):
+            bad.append(("nonsingular-jump", f"atom {i}: |det(I + a)| <= {DET_TOL}", i))
         for k in range(i):
             if j.atoms[k][1].shape == a.shape and np.max(np.abs(j.atoms[k][1] - a)) <= 1e-12:
                 bad.append(("jump-atoms-distinct", f"atoms {k} and {i} coincide", i))
@@ -250,9 +260,10 @@ def moment_check(triplet: MatrixLevyTriplet, epsilon: float) -> MomentReport:
         raise ValueError("epsilon must be positive")
     eye = np.eye(triplet.d)
     r, marks = triplet.rates, triplet.marks
-    singular = np.abs(np.linalg.det(eye + marks)) <= DET_TOL
+    singular = singular_step(marks)
     if singular.any():
-        raise SingularJump(f"det(I + a) = 0 for atom {marks[np.argmax(singular)]!r}")
+        raise SingularJump(f"|det(I + a)| <= {DET_TOL} for atom "
+                           f"{marks[np.argmax(singular)]!r}")
     na = np.linalg.norm(marks, 2, axis=(1, 2))
     nu = np.linalg.norm(np.linalg.inv(eye + marks) - eye, 2, axis=(1, 2))
     big = float(r @ np.where(na > 1.0, na ** epsilon, 0.0))
@@ -395,11 +406,13 @@ def triplet_to_config(triplet: MatrixLevyTriplet) -> dict:
 
 
 def triplet_from_config(doc: dict) -> MatrixLevyTriplet:
-    """Inverse of :func:`triplet_to_config`."""
-    try:
-        d = int(doc["d"])
-    except KeyError:
-        raise ValueError("config missing key 'd'") from None
+    """Inverse of :func:`triplet_to_config`.  A ``d`` that is not a positive
+    integer (2.5, true, "2", 0) raises ValueError."""
+    if "d" not in doc:
+        raise ValueError("config missing key 'd'")
+    d = doc["d"]
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"key 'd' must be a positive integer, got {d!r}")
     def grid(key, rows, cols, required=True):
         if key not in doc:
             if required:

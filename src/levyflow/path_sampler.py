@@ -2,10 +2,14 @@
 
 A path of the driving process L is a grid of times, the continuous (drift +
 Brownian) increment per cell, and time-sorted jumps whose marks it stacks once,
-checking det(I + mark) != 0.  Jump times are grid points: the sampler merges
-them into the uniform grid, and hand-built paths must do the same.  The
-exponential walkers form one time-ordered product: each cell's factor, then at
-a grid point carrying jumps their exact factors (I + mark) in list order.
+refusing those that ``singular_step`` calls singular.  Jump times are grid
+points: the sampler merges them into the uniform grid, and hand-built paths
+must do the same.  The exponential walkers form one time-ordered product: each
+cell's factor, then at a grid point carrying jumps their exact factors
+(I + mark) in list order.  The exact walker's cell factors and the mean
+check's target come from the package's one matrix exponential,
+``_linalg.expm_pair_last``, which is elementwise: a cell's factor depends on
+its own length and the longest cell's, not on how many cells the path has.
 """
 from __future__ import annotations
 
@@ -14,11 +18,10 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import _engine
-from ._linalg import expm_family, grid_indices
-from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump
+from ._linalg import expm_pair_last, grid_indices
+from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
 
 __all__ = [
     "LevyPath", "ExpPath", "MeanCheckReport",
@@ -86,7 +89,7 @@ class LevyPath:
         if marks.shape[1:] != (d, d):
             raise ValueError("jump marks must have shape (d, d)")
         marks.setflags(write=False)
-        singular = np.abs(np.linalg.det(np.eye(d) + marks)) <= DET_TOL
+        singular = singular_step(marks)
         if singular.any():
             raise SingularJump(f"jump at t={times[np.argmax(singular)]}: "
                                f"|det(I + mark)| <= {DET_TOL}")
@@ -268,25 +271,26 @@ def exact_cpp_exponential(path: LevyPath, triplet: MatrixLevyTriplet) -> ExpPath
     """Exponential via the exact product of drift exponentials and jump factors.
 
     X_t = e^{tau_1 gamma^0}(I + dL_{tau_1}) e^{(tau_2-tau_1) gamma^0} ... —
-    exact up to matrix-exponential evaluation; requires sigma = 0.
+    exact up to matrix-exponential evaluation; requires sigma = 0.  The cell
+    factors are the forward half of one ``expm_pair_last`` family of
+    h gamma^0, h the longest cell, at r = (cell length) / h.
     """
     if triplet.has_gaussian_part():
         raise HasGaussianPart("exact product requires a triplet with sigma = 0")
     lens = np.diff(path.grid)
     h = lens.max()
-    factors = expm_family(h * triplet.drift())(lens / h)
-    return _walk(path, factors, "exact_cpp")
+    factors = expm_pair_last(h * triplet.drift())(lens / h)[0]
+    return _walk(path, factors.transpose(2, 0, 1), "exact_cpp")
 
 
 def emery_exponential(path: LevyPath) -> ExpPath:
     """Exponential via the ordered product of (I + cell increment) factors,
     with jumps inserted exactly at their times as separate (I + mark) factors."""
-    factors = np.eye(path.d) + path.increments
-    singular = np.abs(np.linalg.det(factors)) <= DET_TOL
+    singular = singular_step(path.increments)
     if singular.any():
         raise SingularFactor(f"cell {np.argmax(singular)}: "
                              f"|det(I + increment)| <= {DET_TOL}")
-    return _walk(path, factors, "emery")
+    return _walk(path, np.eye(path.d) + path.increments, "emery")
 
 
 def skorokhod_reconstruct(path: LevyPath, eps: float,
@@ -353,7 +357,8 @@ def stochastic_logarithm(exp_path: ExpPath) -> LevyPath:
 
 
 def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> MeanCheckReport:
-    """Monte Carlo test of E[X_t] = exp(t E[L_1]), componentwise z-scores.
+    """Monte Carlo test of E[X_t] = exp(t E[L_1]), componentwise z-scores;
+    the target is ``expm_pair_last`` of t E[L_1] at r = 1.
 
     One engine run of X_t over n_paths paths.  Its jump-adapted factors make
     the mean exact at any step, so sigma = 0 takes one step of length t (the
@@ -367,7 +372,7 @@ def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> Mean
                                       renormalize=False)[1][0]
     mc = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    target = expm(t * triplet.mean_l1())
+    target = expm_pair_last(t * triplet.mean_l1())([1.0])[0][:, :, 0]
     diff = mc - target
     # identical samples leave only rounding jitter in se, which is not a
     # usable standard error: such entries get se = 0 and z = 0 (or inf when

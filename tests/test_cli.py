@@ -183,6 +183,16 @@ class TestMain:
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
         assert "parameters.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", [2.5, True])
+    def test_non_integer_dimension_exit_two(self, tmp_path, capsys, d):
+        triplet = {"d": d, "sigma": [0.0] * 16, "gamma": [0.0] * 4}
+        doc = {"triplet": triplet, "experiment": "simulate",
+               "parameters": {"T": 1.0, "dt": 0.5, "seed": 1},
+               "output_dir": str(tmp_path / "o")}
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert "'d' must be a positive integer" in capsys.readouterr().err
+
     # standard_brownian(2) noise with drift 800 I at dt = 1: the engine's
     # drift factor e^800 overflows
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

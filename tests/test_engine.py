@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import levyflow as lf
-from levyflow import _engine
-from levyflow._linalg import expm_family, expm_pair_last, psd_factor
+from levyflow import _engine, geometry
+from levyflow._linalg import expm_pair_last, psd_factor
 
 
 def _triplet(d, sigma, drift, jumps=lf.JumpSpec()) -> lf.MatrixLevyTriplet:
@@ -65,12 +65,16 @@ class TestContFactors:
                                    rtol=1e-13, atol=1e-13)
 
     def test_drift_only_factor_is_shared_and_draws_nothing(self):
+        """D is the run's drift family at r = 1, which a jump at offset 0
+        uses, bit for bit, and scipy's expm up to rounding."""
         triplet = lf.builtin_triplet("rotation_rank1")
         scheme = _engine._StepScheme(triplet, 0.1)
         assert scheme.noise_shape(50) is None
         f = scheme.cont_factors(None, 50)
         assert f.shape == (2, 2)
-        np.testing.assert_array_equal(f, expm(0.1 * triplet.drift()))
+        e, _ = scheme.drift_exp(np.r_[0.3, 1.0, 0.7])
+        np.testing.assert_array_equal(f, e[:, :, 1])
+        np.testing.assert_allclose(f, expm(0.1 * triplet.drift()), rtol=1e-14, atol=1e-15)
 
 
 def _random_noncommuting_cpp() -> lf.MatrixLevyTriplet:
@@ -255,23 +259,42 @@ class TestJumpAdaptedMean:
 
 @pytest.mark.parametrize("scale", [0.0, 0.3, 5.0, 40.0])
 def test_expm_family_matches_scipy(scale):
-    """Drift exponentials of the jump factors, with and without squarings."""
+    """Both stacks of the one exponential family against scipy's expm, with
+    and without squarings, at r in [0, 1] and at r = 1 alone, the single
+    matrix that the engine's D and mean_check's target take from it."""
     rng = np.random.default_rng(4)
     for a in (scale * rng.standard_normal((3, 3)), scale * np.array([[0.0, 1.0], [0.0, 0.0]])):
-        r = np.r_[0.0, rng.random(20), 1.0]
-        e, e_inv = expm_pair_last(a)(r)
-        for got, b in ((expm_family(a)(r), a), (e.transpose(2, 0, 1), a),
-                       (e_inv.transpose(2, 0, 1), -a)):
-            expected = expm(r[:, None, None] * b)
-            np.testing.assert_allclose(got, expected, rtol=1e-12,
-                                       atol=1e-12 * np.abs(expected).max())
+        for r in (np.r_[0.0, rng.random(20), 1.0], np.ones(1)):
+            e, e_inv = expm_pair_last(a)(r)
+            for got, b in ((e.transpose(2, 0, 1), a), (e_inv.transpose(2, 0, 1), -a)):
+                expected = expm(r[:, None, None] * b)
+                np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                           atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("name", ["rotation_rank1", "irrational_rotation(1.0)",
+                                  "diagonal_reducible", "random_d3"])
+def test_one_family_covers_the_drift_generator_times(name):
+    """ip_certify's drift generators come from one family call over all the
+    drift times (a = t_max gamma^0, r = t / t_max): each matches scipy's
+    expm(t gamma^0), r = t / t_max going down to about 1/64."""
+    triplet = (_triplet(3, np.zeros((9, 9)), 0.8 * np.random.default_rng(2).standard_normal((3, 3)))
+               if name == "random_d3" else lf.builtin_triplet(name))
+    ts = geometry._drift_times(40, np.random.default_rng(3))
+    gens = geometry._generators(triplet, 40, np.random.default_rng(3))
+    assert [label for label, _ in gens[:len(ts)]] == [f"drift t={t:.6g}" for t in ts]
+    for (_, got), t in zip(gens, ts):
+        expected = expm(t * triplet.drift())
+        np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.3, 5.0, 40.0])
 def test_expm_pair_is_two_families_bit_for_bit(scale):
     """The paths-last pair of a is the pair of -a swapped, each stack built
     from its own matrix alone, and each scalar's matrices do not depend on
-    the other scalars of the call."""
+    the other scalars of the call, one scalar alone included; a = 0 gives
+    the identity exactly."""
     rng = np.random.default_rng(6)
     a = scale * rng.standard_normal((3, 3))
     r = np.r_[0.0, rng.random(50), 1.0]
@@ -282,6 +305,13 @@ def test_expm_pair_is_two_families_bit_for_bit(scale):
         got, got_inv = expm_pair_last(a)(r[part])
         assert got.tobytes() == e[:, :, part].tobytes()
         assert got_inv.tobytes() == e_inv[:, :, part].tobytes()
+    for k in range(r.size):
+        got, got_inv = expm_pair_last(a)(r[k:k + 1])
+        assert got.tobytes() == e[:, :, k:k + 1].tobytes()
+        assert got_inv.tobytes() == e_inv[:, :, k:k + 1].tobytes()
+    if scale == 0.0:
+        assert np.array_equal(e, np.broadcast_to(np.eye(3)[:, :, None], e.shape))
+        assert np.array_equal(e_inv, e)
 
 
 @pytest.mark.parametrize("triplet", [MIXED, lf.builtin_triplet("rotation_rank1"),

@@ -280,3 +280,13 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """The package's matrix exponentials come from _linalg.expm_pair_last, so
+    importing levyflow, its CLI included, does not load scipy.linalg."""
+    code = "import sys, levyflow.cli; print('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(lf.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -137,6 +137,47 @@ class TestMomentCheck:
         assert rep.integral_inv == 0.0
 
 
+class TestSingularStep:
+    """One rule, |det(I + a)| <= DET_TOL, at every site that needs I + a
+    invertible.  a = diag(-1 + 1e-13, 0) has det(I + a) = 1e-13, not zero:
+    an exact-zero test would pass it, and log|det(I + a)| = -29.9."""
+
+    A = np.diag([-1.0 + 1e-13, 0.0])
+
+    def _triplet(self, a):
+        jumps = lf.JumpSpec(rate=1.0, atoms=((0.5, a), (0.5, 0.2 * np.eye(2))))
+        return lf.MatrixLevyTriplet(d=2, sigma=np.zeros((4, 4)), gamma=np.zeros((2, 2)),
+                                    jumps=jumps)
+
+    def test_rule(self):
+        assert lf.singular_step(self.A) and not lf.singular_step(0.2 * np.eye(2))
+        np.testing.assert_array_equal(
+            lf.singular_step(np.stack([self.A, np.zeros((2, 2)), -np.eye(2)])),
+            [True, False, True])
+        assert lf.singular_step(np.empty((0, 3, 3))).shape == (0,)
+
+    def test_every_site_refuses_the_atom(self):
+        trip = self._triplet(self.A)
+        assert "nonsingular-jump" in lf.validate(trip).rules()
+        for call in (lambda: lf.moment_check(trip, 1.0),
+                     lambda: lf.check_characteristics(trip),
+                     lambda: lf.det_growth_mean(trip),
+                     lambda: lf.mean_check(trip, 1.0, 10, 0),
+                     lambda: lf.LevyPath(grid=[0.0, 1.0], increments=np.zeros((1, 2, 2)),
+                                         jumps=((1.0, self.A),))):
+            with pytest.raises(lf.SingularJump, match=r"\|det\(I \+ (a|mark)\)\| <= 1e-12"):
+                call()
+        path = lf.LevyPath(grid=[0.0, 1.0], increments=self.A[None])
+        with pytest.raises(lf.SingularFactor, match=r"<= 1e-12"):
+            lf.emery_exponential(path)
+
+    def test_atom_just_outside_the_rule_is_accepted(self):
+        trip = self._triplet(np.diag([-1.0 + 1e-11, 0.0]))
+        assert lf.validate(trip).valid
+        assert np.isfinite(lf.check_characteristics(trip).mean)
+        lf.moment_check(trip, 1.0)
+
+
 class TestConfigRoundTrip:
     def test_exact_round_trip(self):
         jumps = lf.JumpSpec(rate=1.5,
@@ -168,6 +209,13 @@ class TestConfigRoundTrip:
     def test_missing_dimension(self):
         with pytest.raises(ValueError, match="'d'"):
             lf.triplet_from_config({"sigma": [0.0], "gamma": [0.0]})
+
+    @pytest.mark.parametrize("d", [2.5, 2.0, True, "2", None, 0, -1])
+    def test_non_integer_dimension(self, d):
+        """d = 2.5 would otherwise become 2, d = true a sigma-length error and
+        d = 0 an error about an empty reduction."""
+        with pytest.raises(ValueError, match="'d' must be a positive integer"):
+            lf.triplet_from_config({"d": d, "sigma": [0.0] * 16, "gamma": [0.0] * 4})
 
 
 class TestImmutability:

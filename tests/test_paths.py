@@ -160,6 +160,26 @@ class TestExponentials:
         np.testing.assert_allclose(ep.X[2],
                                    half @ (np.eye(2) + a) @ half, atol=1e-14)
 
+    def test_cell_factor_does_not_depend_on_the_other_cells(self):
+        """Cell factors are bit for bit the same whatever the number of cells
+        in the path: X_1 = f(h) and X_2 = f(h) f(l) of a path whose first
+        cells have lengths h (the longest, which sets the scaling) and l are
+        the same alone, in 2 cells and in 2002."""
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            gamma = rng.standard_normal((2, 2))
+            trip = _drift_only(gamma)
+            h = rng.uniform(0.05, 2.0)
+            cells = np.r_[h, h * rng.random(2001) / 1000.0]
+
+            def states(n_cells):
+                grid = np.r_[0.0, np.cumsum(cells[:n_cells])]
+                path = lf.LevyPath(grid=grid, increments=np.diff(grid)[:, None, None] * gamma)
+                return lf.exact_cpp_exponential(path, trip).X
+            full = states(cells.size)
+            assert states(1)[1].tobytes() == full[1].tobytes()
+            assert states(2)[1:3].tobytes() == full[1:3].tobytes()
+
     def test_emery_product_matches_hand_product(self):
         inc = np.array([[0.1, 0.0], [0.2, -0.1]])
         a = np.array([[0.3, 0.0], [0.0, 0.0]])
