@@ -15,8 +15,9 @@ D e^{-r_1 gamma^0}(I + a_1) e^{r_1 gamma^0} ... = e^{s_1 gamma^0}(I + a_1)
 e^{(s_2 - s_1) gamma^0} ... (I + a_k) e^{(dt - s_k) gamma^0}, the exact
 product, so the scheme is exact for sigma = 0 at any dt; with sigma > 0,
 E[D (I + dB)] = D and the noise is independent of the jumps, so E[X_t] is
-exact too.  D is the same pair's e^{r gamma^0} at r = dt, built with or
-without jumps, so it is bit for bit the exponential of a jump at offset 0.
+exact too.  D is the forward half alone of the same family at r = dt
+(``expm_last``, built with or without jumps), so it is bit for bit the
+exponential of a jump at offset 0.
 D is folded once into the triplet's Brownian factor G, which gives dB = G @ z
 for standard normals z: with G'[m, j] = sum_k D[m, k] G[k, j],
 F = D + G' @ z.  Inside the step loop the state is paths-last: m rows
@@ -47,18 +48,20 @@ _step_normals and hands them to cont_factors, which draws nothing.  K =
 BLOCK // (normals per step) steps come from one standard_normal call, the
 same stream as K calls, and a worker thread fills the next block while the
 loop steps through the current one; a step larger than BLOCK or a run of at
-most one block draws inline.  Its jumps come from four more streams, the
-children (JUMP_KEY, i) of the seed's SeedSequence, derived with a fixed spawn
-key so that a SeedSequence seed is left as it was.  They are planned a block
-of steps at a time (in about BLOCK doubles of memory): each step's total from
-the count stream, then per jump a path, an offset and an atom, each from its
-own stream; a sort by (step, path, offset) gives each jump its round, and
-one elementwise pass builds all of the block's factors.  Each stream is read
-in step order, and a factor depends on its own jump only, so no result
-depends on the block sizes or on thread timing: only one normal draw runs at
-a time and the blocks are taken in order.  The worker is joined before the
-run returns or raises.  Results are deterministic given the seed,
-independent of BLAS threading.
+most one block draws inline.  BLOCK = 2^17 doubles holds a step of 2 * 10^4
+paths of d^2 = 4 normals each (the rows of a path share them), the size of a
+mixing run's step, so those steps are drawn ahead too.  Its jumps come from
+four more streams, the children (JUMP_KEY, i) of the seed's SeedSequence,
+derived with a fixed spawn key so that a SeedSequence seed is left as it
+was.  They are planned a block of steps at a time (in about BLOCK doubles of
+memory): each step's total from the count stream, then per jump a path, an
+offset and an atom, each from its own stream; a sort by (step, path, offset)
+gives each jump its round, and one elementwise pass builds all of the
+block's factors.  Each stream is read in step order, and a factor depends
+on its own jump only, so no result depends on the block sizes or on thread
+timing: only one normal draw runs at a time and the blocks are taken in
+order.  The worker is joined before the run returns or raises.  Results are
+deterministic given the seed, independent of BLAS threading.
 """
 from __future__ import annotations
 
@@ -68,13 +71,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._linalg import expm_pair_last, grid_indices, matmul_last, psd_factor
+from ._linalg import expm_last, expm_pair_last, grid_indices, matmul_last, psd_factor
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
 
 
-# Doubles per block of prefetched normals (two blocks are kept, 1 MB), and
+# Doubles per block of prefetched normals (two blocks are kept, 2 MB), and
 # about the doubles a planned block of jumps works in (see planned_jumps).
-BLOCK = 2 ** 16
+BLOCK = 2 ** 17
 # Spawn key, under the run's seed, of its jump streams (the bytes "jump").
 JUMP_KEY = 0x6A756D70
 
@@ -91,8 +94,9 @@ class _StepScheme:
     def __init__(self, triplet: MatrixLevyTriplet, dt: float, single_row: bool = False):
         self.d = triplet.d
         self.dt = float(dt)
-        self.drift_exp = expm_pair_last(self.dt * triplet.drift())
-        self.drift_factor = self.drift_exp([1.0])[0][:, :, 0].copy()
+        drift = self.dt * triplet.drift()
+        self.drift_exp = expm_pair_last(drift)
+        self.drift_factor = expm_last(drift)([1.0])[:, :, 0].copy()
         self.row_noise = (single_row and self.d >= 2 and triplet.has_gaussian_part()
                           and triplet.row_covariance is not None)
         if self.row_noise:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import path_sampler
+from ._csvfmt import format_rows
 from ._linalg import OffGrid
 from .geometry import SmoothFunction, generator_mc_check, ip_certify
 from .levy_model import (MatrixLevyTriplet, builtin_triplet, triplet_from_config,
@@ -106,28 +107,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-_CSV_CHUNK = 4096  # float rows formatted per % call
+_CSV_CHUNK = 512  # float rows formatted and written at a time
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """rows: a list of rows of mixed cells, or a float ndarray, which is
-    written with one row template, one % call per chunk of rows; both give
-    the same bytes for floats.  A column holding one value (bit for bit)
-    throughout is formatted once, into the template."""
+    """rows: a list of rows of mixed cells, each formatted by ``_fmt``, or a
+    float ndarray, whose cells ``_csvfmt.format_rows`` formats with numpy,
+    ``_CSV_CHUNK`` rows at a time; both give the same bytes for floats,
+    ``'%.17g' % x``."""
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-            rows = rows.astype(float, copy=False)
-            bits = rows.view(np.int64)
-            const = np.all(bits == bits[:1], axis=0) & (len(rows) > 0)
-            cells = ["%.17g"] * rows.shape[1]
-            for j in np.flatnonzero(const):
-                cells[j] = f"{rows[0, j]:.17g}"
-            template = ",".join(cells) + "\n"
-            body = rows[:, ~const]
-            for i in range(0, len(body), _CSV_CHUNK):
-                chunk = body[i:i + _CSV_CHUNK]
-                fh.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
+            for i in range(0, len(rows), _CSV_CHUNK):
+                fh.write(format_rows(rows[i:i + _CSV_CHUNK]).decode("ascii"))
         else:
             fh.writelines(",".join(_fmt(x) for x in row) + "\n" for row in rows)
 
@@ -642,7 +634,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError, MixedKinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -7,9 +7,10 @@ points: the sampler merges them into the uniform grid, and hand-built paths
 must do the same.  The exponential walkers form one time-ordered product: each
 cell's factor, then at a grid point carrying jumps their exact factors
 (I + mark) in list order.  The exact walker's cell factors and the mean
-check's target come from the package's one matrix exponential,
-``_linalg.expm_pair_last``, which is elementwise: a cell's factor depends on
-its own length and the longest cell's, not on how many cells the path has.
+check's target come from ``_linalg.expm_last``, the forward half of the
+package's one matrix exponential, which is elementwise: a cell's factor
+depends on its own length and the longest cell's, not on how many cells the
+path has.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import _engine
-from ._linalg import expm_pair_last, grid_indices
+from ._linalg import expm_last, grid_indices
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
 
 __all__ = [
@@ -272,14 +273,14 @@ def exact_cpp_exponential(path: LevyPath, triplet: MatrixLevyTriplet) -> ExpPath
 
     X_t = e^{tau_1 gamma^0}(I + dL_{tau_1}) e^{(tau_2-tau_1) gamma^0} ... —
     exact up to matrix-exponential evaluation; requires sigma = 0.  The cell
-    factors are the forward half of one ``expm_pair_last`` family of
-    h gamma^0, h the longest cell, at r = (cell length) / h.
+    factors are one ``expm_last`` family of h gamma^0, h the longest cell,
+    at r = (cell length) / h.
     """
     if triplet.has_gaussian_part():
         raise HasGaussianPart("exact product requires a triplet with sigma = 0")
     lens = np.diff(path.grid)
     h = lens.max()
-    factors = expm_pair_last(h * triplet.drift())(lens / h)[0]
+    factors = expm_last(h * triplet.drift())(lens / h)
     return _walk(path, factors.transpose(2, 0, 1), "exact_cpp")
 
 
@@ -358,7 +359,7 @@ def stochastic_logarithm(exp_path: ExpPath) -> LevyPath:
 
 def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> MeanCheckReport:
     """Monte Carlo test of E[X_t] = exp(t E[L_1]), componentwise z-scores;
-    the target is ``expm_pair_last`` of t E[L_1] at r = 1.
+    the target is ``expm_last`` of t E[L_1] at r = 1.
 
     One engine run of X_t over n_paths paths.  Its jump-adapted factors make
     the mean exact at any step, so sigma = 0 takes one step of length t (the
@@ -372,7 +373,7 @@ def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> Mean
                                       renormalize=False)[1][0]
     mc = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    target = expm_pair_last(t * triplet.mean_l1())([1.0])[0][:, :, 0]
+    target = expm_last(t * triplet.mean_l1())([1.0])[:, :, 0]
     diff = mc - target
     # identical samples leave only rounding jitter in se, which is not a
     # usable standard error: such entries get se = 0 and z = 0 (or inf when

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import levyflow as lf
-from levyflow import cli
+from levyflow import _csvfmt, cli
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -134,6 +134,58 @@ class TestRunScenario:
             cli._write_csv(tmp_path / "list.csv", ["a", "b", "c"], rows.tolist())
             assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
+    def test_kernel_writes_the_bytes_of_percent_17g_on_a_corpus(self, tmp_path):
+        """The vectorized kernel against '%.17g' % x, cell by cell, on values
+        chosen to break a digit generator: random bit patterns of every
+        binade, decimals, integers near 2^53 and 10^16..10^17, powers of ten
+        and their neighbours, values whose 17-digit rounding carries into
+        the next decade, exact ties, subnormals, signed zeros, nan and inf;
+        written as one table one row past a chunk boundary."""
+        rng = np.random.default_rng(21)
+        binades = (rng.integers(0, 2 ** 52, 2048, dtype=np.uint64)
+                   | (np.arange(2048, dtype=np.uint64) << np.uint64(52))).view(float)
+        tens = np.array([10.0 ** k for k in range(-323, 309)] + [float(f"1e{k}") for k in
+                                                                  range(-323, 309)])
+        neighbours = np.concatenate([np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+        below = [float("0." + "9" * 17 + "5") * 10.0 ** k for k in range(-30, 30)]
+        ties = (rng.integers(10 ** 15, 2 ** 51, 200) + np.repeat([0.25, 0.75], 100))
+        corpus = np.concatenate([
+            rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(float), binades,
+            np.arange(-3000, 3001) / 1000.0,
+            2.0 ** 53 + np.arange(-300, 301),
+            rng.integers(10 ** 16, 10 ** 17, 2000).astype(float),
+            tens, neighbours, np.nextafter(neighbours, 0.0), below, ties,
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072009e-308,
+                      0.99999999999999995, 9.9999999999999995e-5, 1e16, 1e17, 1e-5]),
+        ])
+        corpus = np.concatenate([corpus, -corpus])
+        n_cols, n = 7, cli._CSV_CHUNK + 1
+        table = np.resize(corpus, (-(-corpus.size // n_cols), n_cols))
+        for rows in (table, table[:n]):
+            cli._write_csv(tmp_path / "array.csv", ["c"] * n_cols, rows)
+            expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
+            assert (tmp_path / "array.csv").read_text() == "c," * (n_cols - 1) + "c\n" + expected
+
+    def test_kernel_certifies_ordinary_cells_and_no_others(self):
+        """The kernel's own digits, not the per-cell fallback, format ordinary
+        values: D and X are those of '%.16e'.  Zero, inf, nan, values outside
+        [1e-200, 1e200] and exact ties are left to '%.17g' itself."""
+        rng = np.random.default_rng(22)
+        # no exact ties: below 1e10 or above 1e17 a double's decimal
+        # expansion never ends at its 18th digit
+        scale = 10.0 ** np.r_[rng.integers(-198, 10, 4000), rng.integers(17, 199, 1000)]
+        x = np.concatenate([rng.standard_normal(5000), rng.random(5000) * scale,
+                            [1.5e-200, 9e199]])
+        ok, d, xp = _csvfmt._digits(x)
+        assert ok.all()
+        for v, digits, e in zip(x.tolist(), d.tolist(), xp.tolist()):
+            mantissa, exponent = ("%.16e" % abs(v)).split("e")
+            assert (digits, e) == (int(mantissa.replace(".", "")), int(exponent))
+        odd = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 9.9e-201, 1.1e200,
+                        1234567890123456.25, -0.5 ** 1074])
+        assert not _csvfmt._digits(odd)[0].any()
+
 
 class TestConfigErrors:
     def test_missing_seed_is_named(self, tmp_path):
@@ -215,6 +267,19 @@ class TestMain:
                                method="exact")
         assert cli.main(["simulate", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err != ""
+
+    def test_memory_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        """A run too large for memory is a numerical failure: an error line
+        and exit 3, not a traceback with exit 1.  The runner is patched to
+        raise, so no large array is allocated."""
+        def runner(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setitem(cli._RUNNERS, "simulate", runner)
+        cfg = _simulate_config(tmp_path)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: MemoryError: Unable to allocate") and "Traceback" not in err
 
     @pytest.mark.parametrize("experiment, parameters, key", [
         ("generator_check", {"h_grid": [0.01], "n_paths": 100, "x": [1, 0, 0]},

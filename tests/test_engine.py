@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 import levyflow as lf
 from levyflow import _engine, geometry
-from levyflow._linalg import expm_pair_last, psd_factor
+from levyflow._linalg import expm_last, expm_pair_last, psd_factor
 
 
 def _triplet(d, sigma, drift, jumps=lf.JumpSpec()) -> lf.MatrixLevyTriplet:
@@ -312,6 +312,23 @@ def test_expm_pair_is_two_families_bit_for_bit(scale):
     if scale == 0.0:
         assert np.array_equal(e, np.broadcast_to(np.eye(3)[:, :, None], e.shape))
         assert np.array_equal(e_inv, e)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 5.0, 40.0])
+def test_forward_only_exponential_is_the_pairs_forward_stack(scale):
+    """expm_last, which the engine's D, mean_check's target, the exact
+    walker and geometry's generators read, is expm_pair_last(a)(r)[0] bit
+    for bit, for several drifts and r grids."""
+    rng = np.random.default_rng(7)
+    drifts = (scale * rng.standard_normal((3, 3)), scale * rng.standard_normal((2, 2)),
+              scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    grids = (np.ones(1), np.r_[0.0, rng.random(30), 1.0], np.linspace(0.0, 1.0, 7))
+    for a in drifts:
+        for r in grids:
+            got = expm_last(a)(r)
+            assert got.tobytes() == expm_pair_last(a)(r)[0].tobytes()
+    scheme = _engine._StepScheme(lf.builtin_triplet("rotation_rank1"), 0.1)
+    assert scheme.drift_factor.tobytes() == scheme.drift_exp(np.ones(1))[0][:, :, 0].tobytes()
 
 
 @pytest.mark.parametrize("triplet", [MIXED, lf.builtin_triplet("rotation_rank1"),

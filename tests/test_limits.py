@@ -290,3 +290,14 @@ def test_import_leaves_scipy_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    """The CSV kernel builds its double-double powers of ten from Python ints
+    on first use, so importing the CLI loads neither fractions nor decimal."""
+    code = ("import sys, levyflow.cli; "
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(lf.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False False"
