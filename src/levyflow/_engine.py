@@ -15,9 +15,9 @@ D e^{-r_1 gamma^0}(I + a_1) e^{r_1 gamma^0} ... = e^{s_1 gamma^0}(I + a_1)
 e^{(s_2 - s_1) gamma^0} ... (I + a_k) e^{(dt - s_k) gamma^0}, the exact
 product, so the scheme is exact for sigma = 0 at any dt; with sigma > 0,
 E[D (I + dB)] = D and the noise is independent of the jumps, so E[X_t] is
-exact too.  D is the forward half alone of the same family at r = dt
-(``expm_last``, built with or without jumps), so it is bit for bit the
-exponential of a jump at offset 0.
+exact too.  D is the forward stack of the same pair at r = 1 (the pair is
+built with or without jumps), so it is bit for bit the exponential of a jump
+at offset 0.
 D is folded once into the triplet's Brownian factor G, which gives dB = G @ z
 for standard normals z: with G'[m, j] = sum_k D[m, k] G[k, j],
 F = D + G' @ z.  Inside the step loop the state is paths-last: m rows
@@ -71,10 +71,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._linalg import expm_last, expm_pair_last, grid_indices, matmul_last, psd_factor
-from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
+from ._linalg import expm_pair_last, grid_indices, matmul_last, psd_factor
+from .levy_model import MatrixLevyTriplet, refuse_singular_atoms
 
 
+# The default time step dt of every Monte Carlo estimator: the engine's
+# entry points, the limits and projective estimators and the CLI runners.
+DEFAULT_DT = 0.05
 # Doubles per block of prefetched normals (two blocks are kept, 2 MB), and
 # about the doubles a planned block of jumps works in (see planned_jumps).
 BLOCK = 2 ** 17
@@ -94,9 +97,8 @@ class _StepScheme:
     def __init__(self, triplet: MatrixLevyTriplet, dt: float, single_row: bool = False):
         self.d = triplet.d
         self.dt = float(dt)
-        drift = self.dt * triplet.drift()
-        self.drift_exp = expm_pair_last(drift)
-        self.drift_factor = expm_last(drift)([1.0])[:, :, 0].copy()
+        self.drift_exp = expm_pair_last(self.dt * triplet.drift())
+        self.drift_factor = self.drift_exp([1.0])[0][:, :, 0].copy()
         self.row_noise = (single_row and self.d >= 2 and triplet.has_gaussian_part()
                           and triplet.row_covariance is not None)
         if self.row_noise:
@@ -107,10 +109,7 @@ class _StepScheme:
         else:
             self.gauss = None
         if triplet.jumps.active:
-            singular = singular_step(triplet.marks)
-            if singular.any():
-                raise SingularJump(f"|det(I + a)| <= {DET_TOL} for atom "
-                                   f"{triplet.marks[np.argmax(singular)]!r}")
+            refuse_singular_atoms(triplet)
             self.jump_rate = triplet.jumps.rate
             self.probs = triplet.rates / triplet.rates.sum()
             self.marks_last = triplet.marks.transpose(1, 2, 0)
@@ -342,7 +341,7 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
 
 
 def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
-                   seed, snapshot_times, dt: float = 0.05):
+                   seed, snapshot_times, dt: float = DEFAULT_DT):
     """Evolve row vectors y -> y @ X_t for a batch of paths.
 
     ``starts`` is (m, d): all m start vectors share the same noise within a
@@ -370,7 +369,7 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
 
 
 def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,
-                    snapshot_times, dt: float = 0.05, renormalize: bool = True):
+                    snapshot_times, dt: float = DEFAULT_DT, renormalize: bool = True):
     """Evolve full states X_t for a batch of independent paths.
 
     Returns (times, mats, logs): mats is (k, n_paths, d, d); with

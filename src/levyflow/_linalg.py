@@ -9,7 +9,7 @@ L^(n,l) at position (j*d+m, l*d+n).
 drift factor and jump rounds, the exact walker's cell factors, the target of
 ``mean_check`` and the drift generators of ``geometry`` all come from it, so
 importing the package does not load ``scipy.linalg``.  All but the jump
-rounds read only its forward stack, through ``expm_last``.
+rounds read only the first, forward stack of its pair.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "psd_factor", "OffGrid", "grid_indices", "line_fit", "expm_pair_last", "expm_last",
-    "matmul_last",
+    "psd_factor", "OffGrid", "grid_indices", "line_fit", "expm_pair_last", "matmul_last",
 ]
 
 
@@ -81,7 +80,7 @@ def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_pair_last(a: np.ndarray, inverse: bool = True):
+def expm_pair_last(a: np.ndarray):
     """r -> the paths-last (d, d, m) stacks (expm(r_i * a), expm(-r_i * a))
     for m scalars 0 <= r_i <= 1: the package's one matrix exponential
     (scaling and squaring, Moler & Van Loan's method 3).
@@ -96,8 +95,7 @@ def expm_pair_last(a: np.ndarray, inverse: bool = True):
     bit the same whatever other scalars share the call (a BLAS product's
     rounding may depend on a column's place in a block).  Negating a
     negates exactly the odd terms, so the pair of -a is the pair of a
-    swapped, bit for bit.  A zero a gives the identity exactly.  With
-    ``inverse`` false the pair is cut to its forward stack before squaring.
+    swapped, bit for bit.  A zero a gives the identity exactly.
     """
     q = max(0, int(np.ceil(np.log2(2.0 * np.linalg.norm(a, 1) + 1e-300))))
     table = np.stack([np.linalg.matrix_power(a / 2.0 ** q, k).ravel() / math.factorial(k)
@@ -115,19 +113,9 @@ def expm_pair_last(a: np.ndarray, inverse: bool = True):
         s = r * r
         even, odd = horner(table[0::2], s), horner(table[1::2], s)
         odd *= r
-        out = []
-        for e in (even + odd, even - odd)[:1 + inverse]:
-            e = e.reshape(*a.shape, r.size)
-            for _ in range(q):
-                e = matmul_last(e, e)
-            out.append(e)
-        return tuple(out)
+        pair = [e.reshape(*a.shape, r.size) for e in (even + odd, even - odd)]
+        for _ in range(q):
+            pair = [matmul_last(e, e) for e in pair]
+        return tuple(pair)
     return at
 
-
-def expm_last(a: np.ndarray):
-    """r -> the paths-last stack of expm(r_i * a) alone: the first of
-    ``expm_pair_last(a)(r)`` bit for bit, by the same operations, without
-    building or squaring the inverse stack."""
-    forward = expm_pair_last(a, inverse=False)
-    return lambda r: forward(r)[0]

@@ -19,16 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import path_sampler
 from ._csvfmt import format_rows
+from ._engine import DEFAULT_DT
 from ._linalg import OffGrid
 from .geometry import SmoothFunction, generator_mc_check, ip_certify
 from .levy_model import (MatrixLevyTriplet, builtin_triplet, triplet_from_config,
                          triplet_to_config, validate)
 from .limits import FunctionalSpec, berry_esseen_curve, clt_diagnostic, lyapunov_estimate
 from .determinant import check_characteristics, det_closed_form, sl_membership
-from .path_sampler import (emery_exponential, exact_cpp_exponential,
-                           sample_levy_path)
+from .path_sampler import (auto_exponential, emery_exponential, exact_cpp_exponential,
+                           mean_check, sample_levy_path)
 from .projective import HolderFn, estimate_invariant_measure, mixing_rate
 
 __all__ = [
@@ -243,31 +243,31 @@ def _gauss_bump(center: np.ndarray, width: float) -> SmoothFunction:
     return SmoothFunction(value=value, grad=grad, hess=hess)
 
 
-def _auto_exponential(path, triplet):
-    if triplet.has_gaussian_part():
-        return emery_exponential(path)
-    return exact_cpp_exponential(path, triplet)
-
-
 def _entry_header(d: int, prefix: str = "X") -> list[str]:
     return [f"{prefix}{i + 1}{j + 1}" for i in range(d) for j in range(d)]
 
 
 # -- experiment implementations (each returns (summary, header, rows)) ---------
 
-def _run_simulate(triplet, params, seed):
+def _levy_path(triplet, params, seed):
+    """(T, path): parameters.dt > 0 and T >= dt, and the path of L they and
+    the seed draw."""
     dt = _param(params, "dt", float, above=0.0)
     T = _param(params, "T", float, least=dt)
+    return T, sample_levy_path(triplet, T, dt, seed)
+
+
+def _run_simulate(triplet, params, seed):
     method = _param(params, "method", str, default="auto")
-    path = sample_levy_path(triplet, T, dt, seed)
-    if method == "auto":
-        ep = _auto_exponential(path, triplet)
-    elif method == "emery":
+    if method not in ("auto", "emery", "exact"):
+        raise ConfigError("parameters.method", "expected auto, emery, or exact")
+    T, path = _levy_path(triplet, params, seed)
+    if method == "emery":
         ep = emery_exponential(path)
     elif method == "exact":
         ep = exact_cpp_exponential(path, triplet)
     else:
-        raise ConfigError("parameters.method", "expected auto, emery, or exact")
+        ep = auto_exponential(path, triplet)
     rows = np.column_stack([ep.grid, ep.X.reshape(len(ep.grid), -1)])
     summary = {
         "T": T, "n_grid": len(ep.grid), "method": ep.method,
@@ -277,10 +277,8 @@ def _run_simulate(triplet, params, seed):
 
 
 def _run_determinant(triplet, params, seed):
-    dt = _param(params, "dt", float, above=0.0)
-    T = _param(params, "T", float, least=dt)
-    path = sample_levy_path(triplet, T, dt, seed)
-    ep = _auto_exponential(path, triplet)
+    _, path = _levy_path(triplet, params, seed)
+    ep = auto_exponential(path, triplet)
     closed = det_closed_form(path, triplet)
     direct = np.linalg.det(ep.X)
     err = np.abs(direct - closed[:, 1])
@@ -311,7 +309,7 @@ def _horizons(params: dict) -> list:
 def _run_lyapunov(triplet, params, seed):
     T = _param(params, "T", float, above=0.0)
     n_paths = _param(params, "n_paths", int, least=2)
-    dt = _param(params, "dt", float, default=0.05, above=0.0)
+    dt = _param(params, "dt", float, default=DEFAULT_DT, above=0.0)
     F = _functional(params, triplet.d, ("op_norm", "vector_norm"))
     lam, se = lyapunov_estimate(triplet, F, T, n_paths, seed, dt=dt)
     return _one_row({"lambda_hat": lam, "lambda_se": se, "T": T, "n_paths": n_paths})
@@ -320,7 +318,7 @@ def _run_lyapunov(triplet, params, seed):
 def _run_clt(triplet, params, seed):
     T = _param(params, "T", float, above=0.0)
     n_paths = _param(params, "n_paths", int, least=2)
-    dt = _param(params, "dt", float, default=0.05, above=0.0)
+    dt = _param(params, "dt", float, default=DEFAULT_DT, above=0.0)
     F = _functional(params, triplet.d)
     return _one_row(asdict(clt_diagnostic(triplet, F, T, n_paths, seed, dt=dt)))
 
@@ -328,7 +326,7 @@ def _run_clt(triplet, params, seed):
 def _run_berry_esseen(triplet, params, seed):
     t_grid = _horizons(params)
     n_paths = _param(params, "n_paths", int, least=2)
-    dt = _param(params, "dt", float, default=0.05, above=0.0)
+    dt = _param(params, "dt", float, default=DEFAULT_DT, above=0.0)
     spec = params.get("F", {"kind": "vector_norm", "y": list(np.eye(triplet.d)[0])})
     F = _functional({"F": spec}, triplet.d, ("vector_norm",))
     z_grid = params.get("z_grid")
@@ -367,7 +365,7 @@ def _run_invariant_measure(triplet, params, seed):
 def _run_mixing(triplet, params, seed):
     t_grid = _horizons(params)
     n_paths = _param(params, "n_paths", int, least=2)
-    dt = _param(params, "dt", float, default=0.05, above=0.0)
+    dt = _param(params, "dt", float, default=DEFAULT_DT, above=0.0)
     d = triplet.d
     n_starts = _param(params, "n_starts", int, default=6, least=d)
     f = _holder_fn(params, d)
@@ -423,7 +421,7 @@ def _run_generator_check(triplet, params, seed):
 def _run_mean_check(triplet, params, seed):
     t = _param(params, "t", float, above=0.0)
     n_paths = _param(params, "n_paths", int, least=2)
-    rep = path_sampler.mean_check(triplet, t, n_paths, seed)
+    rep = mean_check(triplet, t, n_paths, seed)
     d = triplet.d
     i, j = np.divmod(np.arange(d * d), d)
     rows = np.column_stack([i + 1, j + 1, rep.mc_mean.ravel(), rep.target.ravel(),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
+from .levy_model import MatrixLevyTriplet, refuse_singular_atoms
 from .path_sampler import LevyPath
 
 __all__ = [
@@ -53,15 +53,12 @@ def _s2(sigma: np.ndarray, d: int) -> float:
 
 def check_characteristics(triplet: MatrixLevyTriplet) -> CheckTriplet:
     """Characteristic triplet and mean of log|D| from the driving triplet."""
+    refuse_singular_atoms(triplet)
     d = triplet.d
     r, marks = triplet.rates, triplet.marks
-    singular = singular_step(marks)
-    if singular.any():
-        raise SingularJump(f"|det(I + a)| <= {DET_TOL} for atom "
-                           f"{marks[np.argmax(singular)]!r}")
     v = np.linalg.slogdet(np.eye(d) + marks)[1]
     # compensated part of each atom: trace a_i for ||vec a_i|| <= 1
-    comp = np.trace(marks, axis1=1, axis2=2) * (np.linalg.norm(marks, axis=(1, 2)) <= 1.0)
+    comp = np.trace(marks, axis1=1, axis2=2) * triplet.compensated
     base = float(np.trace(triplet.gamma)) - 0.5 * _s2(triplet.sigma, d)
     gamma_d = base + float(r @ (v * (np.abs(v) <= 1.0) - comp))
     mean = base + float(r @ (v - comp))

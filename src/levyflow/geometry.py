@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import _engine
-from ._linalg import expm_last
+from ._linalg import expm_pair_last
 from .levy_model import MatrixLevyTriplet
 from .projective import canonical_unit
 
@@ -103,7 +103,7 @@ def _generators(triplet: MatrixLevyTriplet, n_samples: int, rng):
     if np.any(g0 != 0.0):
         ts = np.array(_drift_times(n_samples, rng))
         # one family over all the times: a = t_max g0 at r = t / t_max
-        e = expm_last(ts.max() * g0)(ts / ts.max())
+        e = expm_pair_last(ts.max() * g0)(ts / ts.max())[0]
         gens.extend((f"drift t={t:.6g}", e[:, :, k]) for k, t in enumerate(ts))
     jump_factors = np.eye(triplet.d) + triplet.marks
     gens.extend((f"jump atom {i}", g) for i, g in enumerate(jump_factors))
@@ -334,8 +334,7 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
 
     rates, marks = triplet.rates, triplet.marks
     xa = x @ marks
-    compensated = np.linalg.norm(marks, axis=(1, 2)) <= 1.0
-    ell = x @ triplet.gamma - np.einsum("k,kij->ij", rates * compensated, xa)
+    ell = x @ triplet.gamma - np.einsum("k,kij->ij", rates * triplet.compensated, xa)
     total = float(np.einsum("ij,ij->", ell, g))
 
     if triplet.has_gaussian_part():

@@ -28,8 +28,8 @@ __all__ = [
     "PSD_TOL", "DET_TOL",
     "JumpSpec", "MatrixLevyTriplet", "ValidationReport", "MomentReport",
     "UnknownName", "SingularJump",
-    "singular_step", "validate", "moment_check", "builtin_triplet",
-    "triplet_to_config", "triplet_from_config",
+    "singular_step", "refuse_singular_atoms", "validate", "moment_check",
+    "builtin_triplet", "triplet_to_config", "triplet_from_config",
 ]
 
 PSD_TOL = 1e-10      # relative floor for sigma eigenvalues
@@ -52,6 +52,15 @@ def singular_step(a) -> np.ndarray:
     is a boolean of shape () or (k,)."""
     a = np.asarray(a, dtype=float)
     return np.abs(np.linalg.det(np.eye(a.shape[-1]) + a)) <= DET_TOL
+
+
+def refuse_singular_atoms(triplet: MatrixLevyTriplet) -> None:
+    """Raise SingularJump, naming the first, if ``singular_step`` calls any
+    of the triplet's atoms singular: the one refusal of a triplet's atoms."""
+    singular = singular_step(triplet.marks)
+    if singular.any():
+        raise SingularJump(f"|det(I + a)| <= {DET_TOL} for atom "
+                           f"{triplet.marks[np.argmax(singular)]!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -107,7 +116,8 @@ class MatrixLevyTriplet:
     The jump atoms and the Gaussian part are resolved once, on first use
     (so :func:`validate` can still report a misshapen atom), to read-only
     arrays that every consumer reads: ``marks`` (k, d, d), ``rates`` (k,),
-    ``brownian_factor`` (d, d, d^2) and ``row_covariance`` (d, d) or None.
+    ``compensated`` (k,), ``brownian_factor`` (d, d, d^2) and
+    ``row_covariance`` (d, d) or None.
     """
 
     d: int
@@ -138,6 +148,12 @@ class MatrixLevyTriplet:
         return _frozen(self.jumps.rate * np.array([p for p, _ in self.jumps.atoms]))
 
     @cached_property
+    def compensated(self) -> np.ndarray:
+        """1{||vec a_i|| <= 1} per atom, shape (k,): the atoms whose jumps
+        gamma compensates (the truncation of the triplet)."""
+        return _frozen(np.linalg.norm(self.marks, axis=(1, 2)) <= 1.0)
+
+    @cached_property
     def brownian_factor(self) -> np.ndarray:
         """G of shape (d, d, d^2) with dB = G @ z for z ~ N(0, I): entry
         (m, j) of dB is row j*d+m of a factor of sigma, so sum_r G[m, j, r]
@@ -158,8 +174,7 @@ class MatrixLevyTriplet:
 
     def jump_compensator(self) -> np.ndarray:
         """rate * sum p_i a_i 1{||vec a_i|| <= 1}; difference gamma - drift0."""
-        small = np.linalg.norm(self.marks, axis=(1, 2)) <= 1.0
-        return np.einsum("k,kij->ij", self.rates * small, self.marks)
+        return np.einsum("k,kij->ij", self.rates * self.compensated, self.marks)
 
     def drift(self) -> np.ndarray:
         """The drift gamma^0 (location minus small-jump compensation)."""
@@ -258,12 +273,9 @@ def moment_check(triplet: MatrixLevyTriplet, epsilon: float) -> MomentReport:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    refuse_singular_atoms(triplet)
     eye = np.eye(triplet.d)
     r, marks = triplet.rates, triplet.marks
-    singular = singular_step(marks)
-    if singular.any():
-        raise SingularJump(f"|det(I + a)| <= {DET_TOL} for atom "
-                           f"{marks[np.argmax(singular)]!r}")
     na = np.linalg.norm(marks, 2, axis=(1, 2))
     nu = np.linalg.norm(np.linalg.inv(eye + marks) - eye, 2, axis=(1, 2))
     big = float(r @ np.where(na > 1.0, na ** epsilon, 0.0))

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from . import _engine
 from ._engine import DegenerateNorm
@@ -101,7 +100,8 @@ class CltReport:
 
     ``sigma2_se`` is the Monte Carlo standard error only; it leaves out the
     O(dt) bias of the engine's product scheme (sigma^2 of log ||y X_t|| on
-    standard_brownian(2) is 1.0589 at dt = 0.05 and 1.1229 at dt = 0.1, not 1).
+    standard_brownian(2) is 1.0589 at the default dt = 0.05,
+    ``_engine.DEFAULT_DT``, and 1.1229 at dt = 0.1, not 1).
     """
 
     lambda_hat: float
@@ -183,7 +183,7 @@ def _growth(samples: np.ndarray, T: float):
 
 
 def lyapunov_estimate(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
-                      n_paths: int, seed, dt: float = 0.05):
+                      n_paths: int, seed, dt: float = _engine.DEFAULT_DT):
     """(lambda_hat, se): Monte Carlo mean of T^{-1} log F(X_T)."""
     if F.kind not in ("op_norm", "vector_norm"):
         raise ValueError("growth-rate estimation needs an op_norm or vector_norm functional")
@@ -192,7 +192,7 @@ def lyapunov_estimate(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
 
 
 def clt_diagnostic(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
-                   n_paths: int, seed, dt: float = 0.05) -> CltReport:
+                   n_paths: int, seed, dt: float = _engine.DEFAULT_DT) -> CltReport:
     """KS-test log F(X_T) against the normal law N(T lambda_hat, T sigma2_hat).
 
     Degeneracy (ks_stat = 1.0, ks_p = 0.0) and the scope of ``sigma2_se``
@@ -211,8 +211,8 @@ def clt_diagnostic(triplet: MatrixLevyTriplet, F: FunctionalSpec, T: float,
                      degenerate=flat, T=float(T), n_paths=n_paths)
 
 
-def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float,
-                           n_paths: int, seed, dt: float = 0.05) -> MomentFunctionReport:
+def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float, n_paths: int,
+                           seed, dt: float = _engine.DEFAULT_DT) -> MomentFunctionReport:
     """Lambda_hat(s) = n^{-1} log mean ||X_n||^s on a grid of exponents.
 
     All exponents reuse the same log-norm samples, so empirical midpoint
@@ -222,6 +222,7 @@ def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float,
     scaled by their largest), so no exponent overflows.  Fewer than two
     paths raise ValueError.
     """
+    from scipy.special import logsumexp  # here only, so that importing levyflow skips scipy
     _need_two_paths(n_paths)
     s_grid = np.asarray(s_grid, dtype=float)
     ell = _terminal_log_samples(triplet, FunctionalSpec.op_norm(), [float(n)],
@@ -243,7 +244,7 @@ def berry_esseen_curve(triplet: MatrixLevyTriplet, F: FunctionalSpec, t_grid,
                        n_paths: int, phi: HolderFn | None = None,
                        z_grid=None, seed=None,
                        measure: EmpiricalMeasure | None = None,
-                       dt: float = 0.05) -> BerryEsseenReport:
+                       dt: float = _engine.DEFAULT_DT) -> BerryEsseenReport:
     """Sup-distance to the normal limit per horizon, with a log-log slope fit.
 
     Without phi: sup_z |P((log||yX_t|| - t lambda)/(sigma sqrt(t)) <= z) - Phi(z)|.
@@ -253,6 +254,7 @@ def berry_esseen_curve(triplet: MatrixLevyTriplet, F: FunctionalSpec, t_grid,
     ``degenerate`` (variance below 1e-10 * t) this raises DegenerateNorm.
     Slope and intercept are NaN with fewer than two distinct horizons.
     """
+    from scipy.special import ndtr  # here only, so that importing levyflow skips scipy
     if F.kind != "vector_norm":
         raise ValueError("the joint statistic is defined for vector_norm functionals")
     if phi is not None and measure is None:

@@ -6,11 +6,11 @@ refusing those that ``singular_step`` calls singular.  Jump times are grid
 points: the sampler merges them into the uniform grid, and hand-built paths
 must do the same.  The exponential walkers form one time-ordered product: each
 cell's factor, then at a grid point carrying jumps their exact factors
-(I + mark) in list order.  The exact walker's cell factors and the mean
-check's target come from ``_linalg.expm_last``, the forward half of the
-package's one matrix exponential, which is elementwise: a cell's factor
-depends on its own length and the longest cell's, not on how many cells the
-path has.
+(I + mark) in list order; ``auto_exponential`` picks the walker.  The exact
+walker's cell factors and the mean check's target are the forward stack of
+``_linalg.expm_pair_last``, the package's one matrix exponential, which is
+elementwise: a cell's factor depends on its own length and the longest
+cell's, not on how many cells the path has.
 """
 from __future__ import annotations
 
@@ -21,14 +21,14 @@ from itertools import accumulate
 import numpy as np
 
 from . import _engine
-from ._linalg import expm_last, grid_indices
+from ._linalg import expm_pair_last, grid_indices
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
 
 __all__ = [
     "LevyPath", "ExpPath", "MeanCheckReport",
     "InvalidStep", "HasGaussianPart", "SingularFactor", "SingularState",
     "sample_levy_path", "exact_cpp_exponential", "emery_exponential",
-    "skorokhod_reconstruct", "stochastic_logarithm", "mean_check",
+    "auto_exponential", "skorokhod_reconstruct", "stochastic_logarithm", "mean_check",
     "coarsen_path",
 ]
 
@@ -273,14 +273,14 @@ def exact_cpp_exponential(path: LevyPath, triplet: MatrixLevyTriplet) -> ExpPath
 
     X_t = e^{tau_1 gamma^0}(I + dL_{tau_1}) e^{(tau_2-tau_1) gamma^0} ... —
     exact up to matrix-exponential evaluation; requires sigma = 0.  The cell
-    factors are one ``expm_last`` family of h gamma^0, h the longest cell,
-    at r = (cell length) / h.
+    factors are the forward stack of one ``expm_pair_last`` family of h
+    gamma^0, h the longest cell, at r = (cell length) / h.
     """
     if triplet.has_gaussian_part():
         raise HasGaussianPart("exact product requires a triplet with sigma = 0")
     lens = np.diff(path.grid)
     h = lens.max()
-    factors = expm_last(h * triplet.drift())(lens / h)
+    factors = expm_pair_last(h * triplet.drift())(lens / h)[0]
     return _walk(path, factors.transpose(2, 0, 1), "exact_cpp")
 
 
@@ -292,6 +292,14 @@ def emery_exponential(path: LevyPath) -> ExpPath:
         raise SingularFactor(f"cell {np.argmax(singular)}: "
                              f"|det(I + increment)| <= {DET_TOL}")
     return _walk(path, np.eye(path.d) + path.increments, "emery")
+
+
+def auto_exponential(path: LevyPath, triplet: MatrixLevyTriplet | None = None) -> ExpPath:
+    """The walker a path gets unless one is named: the exact product when
+    ``triplet`` is given and has sigma = 0, otherwise the Emery product."""
+    if triplet is not None and not triplet.has_gaussian_part():
+        return exact_cpp_exponential(path, triplet)
+    return emery_exponential(path)
 
 
 def skorokhod_reconstruct(path: LevyPath, eps: float,
@@ -312,9 +320,8 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
     states at the big-jump grid points; its agreement with the full-path
     evaluation is exact factor algebra.  A small jump listed after a big jump
     at the same grid point would be applied before it by the truncated walk,
-    so such a path raises ``ValueError``.  The truncated exponential uses the
-    exact product when ``triplet`` (with sigma = 0) is supplied, otherwise
-    the Emery product.
+    so such a path raises ``ValueError``.  The truncated exponential is
+    ``auto_exponential(truncated path, triplet)``.
     """
     is_big = np.linalg.norm(path.marks, 2, axis=(1, 2)) >= eps
     idx = path.jump_index
@@ -324,10 +331,7 @@ def skorokhod_reconstruct(path: LevyPath, eps: float,
                          f"t={path.grid[idx[np.argmax(follows)]]}")
     small = tuple(ta for ta, b in zip(path.jumps, is_big) if not b)
     trunc = LevyPath(grid=path.grid, increments=path.increments, jumps=small)
-    if triplet is not None and not triplet.has_gaussian_part():
-        X = exact_cpp_exponential(trunc, triplet).X
-    else:
-        X = emery_exponential(trunc).X
+    X = auto_exponential(trunc, triplet).X
 
     big = idx[is_big].tolist()
     ends = big + [len(path.grid) - 1]
@@ -359,7 +363,7 @@ def stochastic_logarithm(exp_path: ExpPath) -> LevyPath:
 
 def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> MeanCheckReport:
     """Monte Carlo test of E[X_t] = exp(t E[L_1]), componentwise z-scores;
-    the target is ``expm_last`` of t E[L_1] at r = 1.
+    the target is the forward ``expm_pair_last`` of t E[L_1] at r = 1.
 
     One engine run of X_t over n_paths paths.  Its jump-adapted factors make
     the mean exact at any step, so sigma = 0 takes one step of length t (the
@@ -373,7 +377,7 @@ def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> Mean
                                       renormalize=False)[1][0]
     mc = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    target = expm_last(t * triplet.mean_l1())([1.0])[:, :, 0]
+    target = expm_pair_last(t * triplet.mean_l1())([1.0])[0][:, :, 0]
     diff = mc - target
     # identical samples leave only rounding jitter in se, which is not a
     # usable standard error: such entries get se = 0 and z = 0 (or inf when

@@ -192,7 +192,7 @@ def estimate_invariant_measure(triplet: MatrixLevyTriplet, h: float,
 
     Chains start from the rotation-invariant measure; each skeleton step is
     simulated with internal substeps of size about ``dt`` (default
-    min(h, 0.05)).  Weights are uniform over the pooled states, which are
+    min(h, _engine.DEFAULT_DT)).  Weights are uniform over the pooled states, which are
     serially correlated along each chain — thin before applying tests that
     assume independent samples.
     """
@@ -202,7 +202,7 @@ def estimate_invariant_measure(triplet: MatrixLevyTriplet, h: float,
         raise ValueError("dt must be positive")
     if not 0 <= burn_in < n_steps:
         raise ValueError("need 0 <= burn_in < n_steps")
-    dt = min(h, 0.05) if dt is None else dt
+    dt = min(h, _engine.DEFAULT_DT) if dt is None else dt
     s_start, s_engine = np.random.SeedSequence(seed).spawn(2)
     starts = _uniform_starts(triplet.d, n_chains, np.random.default_rng(s_start))
 
@@ -235,7 +235,7 @@ def _pair_grid(d: int, n_pairs: int, rng) -> np.ndarray:
 
 def contraction_estimate(triplet: MatrixLevyTriplet, n: int, gamma: float,
                          n_pairs: int, n_paths: int, seed,
-                         dt: float = 0.05) -> ContractionReport:
+                         dt: float = _engine.DEFAULT_DT) -> ContractionReport:
     """Monte Carlo estimate of max over sampled pairs (u, w) of
     E[d^gamma(u.X_n, w.X_n) / d^gamma(u, w)] for the time-n skeleton.
 
@@ -260,7 +260,7 @@ def contraction_estimate(triplet: MatrixLevyTriplet, n: int, gamma: float,
 
 
 def mixing_rate(triplet: MatrixLevyTriplet, f: HolderFn, starts, t_grid,
-                n_paths: int, seed, dt: float = 0.05) -> MixingReport:
+                n_paths: int, seed, dt: float = _engine.DEFAULT_DT) -> MixingReport:
     """Coupled estimate of sup over start pairs of |E f(Z_t^y) - E f(Z_t^z)|
     on a time grid, with a log-linear decay fit (rate d_hat, prefactor D_hat).
 

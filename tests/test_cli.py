@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import levyflow as lf
-from levyflow import _csvfmt, cli
+from levyflow import _csvfmt, _engine, cli, path_sampler
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -268,6 +268,15 @@ class TestMain:
         assert cli.main(["simulate", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err != ""
 
+    def test_unknown_method_exits_two_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise AssertionError("the path was sampled")
+
+        monkeypatch.setattr(cli, "sample_levy_path", no_path)
+        cfg = _simulate_config(tmp_path, method="euler")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert "parameters.method" in capsys.readouterr().err
+
     def test_memory_error_exit_three(self, tmp_path, capsys, monkeypatch):
         """A run too large for memory is a numerical failure: an error line
         and exit 3, not a traceback with exit 1.  The runner is patched to
@@ -445,6 +454,53 @@ class TestReport:
         assert named in capsys.readouterr().err
 
 
+class TestWalkerChoice:
+    """simulate's method auto, determinant and skorokhod_reconstruct take the
+    walker that path_sampler.auto_exponential names: the exact product for
+    sigma = 0, Emery's product for a Gaussian part or no triplet."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The methods of the ExpPaths the two walkers return from now on."""
+        seen = []
+        for name in ("exact_cpp_exponential", "emery_exponential"):
+            def spy(*args, _walk=getattr(path_sampler, name)):
+                ep = _walk(*args)
+                seen.append(ep.method)
+                return ep
+            monkeypatch.setattr(path_sampler, name, spy)
+            monkeypatch.setattr(cli, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("name, method", [("rotation_rank1", "exact_cpp"),
+                                              ("sl2_conservative", "emery")])
+    def test_cli_runs(self, tmp_path, monkeypatch, name, method):
+        triplet = lf.builtin_triplet(name)
+        path = lf.sample_levy_path(triplet, 1.0, 0.25, 1)
+        assert lf.auto_exponential(path, triplet).method == method
+        seen = self._spy(monkeypatch)
+        man = cli.run_scenario(_simulate_config(tmp_path, triplet=name, method="auto"))
+        assert man.summary["method"] == method and seen == [method]
+        seen.clear()
+        doc = {"triplet": name, "experiment": "determinant",
+               "parameters": {"T": 1.0, "dt": 0.25, "seed": 1},
+               "output_dir": str(tmp_path / "det")}
+        cli.run_scenario(_write_config(tmp_path, doc, name="det.json"))
+        assert seen == [method]
+
+    @pytest.mark.parametrize("name, method", [("rotation_rank1", "exact_cpp"),
+                                              ("sl2_conservative", "emery"),
+                                              (None, "emery")])
+    def test_reconstruction(self, monkeypatch, name, method):
+        triplet = lf.builtin_triplet(name or "rotation_rank1")
+        path = lf.sample_levy_path(triplet, 2.0, 0.25, 4)
+        triplet = triplet if name else None
+        assert lf.auto_exponential(path, triplet).method == method
+        seen = self._spy(monkeypatch)
+        lf.skorokhod_reconstruct(path, 0.5, triplet=triplet)
+        assert seen == [method]
+
+
 class TestExperimentRunners:
     """One fast end-to-end run for each runner not exercised elsewhere."""
 
@@ -511,6 +567,16 @@ class TestExperimentRunners:
                    "output_dir": str(tmp_path / name)}
             cli.run_scenario(_write_config(tmp_path, doc, name=f"{name}.json"))
             texts.append((tmp_path / name / "invariant_measure.csv").read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_lyapunov_absent_dt_is_the_default_step(self, tmp_path):
+        texts = []
+        for name, extra in (("absent", {}), ("explicit", {"dt": _engine.DEFAULT_DT})):
+            doc = {"triplet": "gbm1(0.1, 0.2)", "experiment": "lyapunov",
+                   "parameters": {"T": 2.0, "n_paths": 50, "seed": 3, **extra},
+                   "output_dir": str(tmp_path / name)}
+            cli.run_scenario(_write_config(tmp_path, doc, name=f"{name}.json"))
+            texts.append((tmp_path / name / "lyapunov.csv").read_bytes())
         assert texts[0] == texts[1]
 
     def test_mixing(self, tmp_path):

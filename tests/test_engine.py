@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import threading
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from scipy.linalg import expm
 
 import levyflow as lf
 from levyflow import _engine, geometry
-from levyflow._linalg import expm_last, expm_pair_last, psd_factor
+from levyflow._linalg import expm_pair_last, psd_factor
 
 
 def _triplet(d, sigma, drift, jumps=lf.JumpSpec()) -> lf.MatrixLevyTriplet:
@@ -316,19 +318,58 @@ def test_expm_pair_is_two_families_bit_for_bit(scale):
 
 @pytest.mark.parametrize("scale", [0.0, 0.3, 5.0, 40.0])
 def test_forward_only_exponential_is_the_pairs_forward_stack(scale):
-    """expm_last, which the engine's D, mean_check's target, the exact
-    walker and geometry's generators read, is expm_pair_last(a)(r)[0] bit
-    for bit, for several drifts and r grids."""
+    """The readers of the forward stack alone, the engine's D, the exact
+    walker's cell factors, mean_check's target and geometry's drift
+    generators, each equal expm_pair_last(a)(r)[0] bit for bit."""
     rng = np.random.default_rng(7)
-    drifts = (scale * rng.standard_normal((3, 3)), scale * rng.standard_normal((2, 2)),
-              scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
-    grids = (np.ones(1), np.r_[0.0, rng.random(30), 1.0], np.linspace(0.0, 1.0, 7))
-    for a in drifts:
-        for r in grids:
-            got = expm_last(a)(r)
-            assert got.tobytes() == expm_pair_last(a)(r)[0].tobytes()
-    scheme = _engine._StepScheme(lf.builtin_triplet("rotation_rank1"), 0.1)
-    assert scheme.drift_factor.tobytes() == scheme.drift_exp(np.ones(1))[0][:, :, 0].tobytes()
+    grid = np.r_[0.0, np.cumsum(rng.uniform(0.1, 1.0, 30))]
+    for drift in (scale * rng.standard_normal((3, 3)), scale * rng.standard_normal((2, 2)),
+                  scale * np.array([[0.0, 1.0], [0.0, 0.0]])):
+        d = len(drift)
+        triplet = _triplet(d, np.zeros((d * d, d * d)), drift)
+        scheme = _engine._StepScheme(triplet, 0.1)
+        want = expm_pair_last(0.1 * triplet.drift())([1.0])[0][:, :, 0]
+        assert scheme.drift_factor.tobytes() == want.tobytes()
+
+        lens = np.diff(grid)
+        cells = expm_pair_last(lens.max() * triplet.drift())(lens / lens.max())[0]
+        path = lf.LevyPath(grid=grid, increments=np.zeros((len(lens), d, d)))
+        want = np.array(list(accumulate(cells.transpose(2, 0, 1), np.matmul,
+                                        initial=np.eye(d))))
+        assert lf.exact_cpp_exponential(path, triplet).X.tobytes() == want.tobytes()
+
+        rep = lf.mean_check(triplet, 0.5, 2, seed=0)
+        want = expm_pair_last(0.5 * triplet.mean_l1())([1.0])[0][:, :, 0]
+        assert rep.target.tobytes() == want.tobytes()
+
+        gens = geometry._generators(triplet, 8, np.random.default_rng(3))
+        ts = np.array(geometry._drift_times(8, np.random.default_rng(3)))
+        want = expm_pair_last(ts.max() * triplet.drift())(ts / ts.max())[0]
+        assert len(gens) == (len(ts) if scale else 0)
+        for k, (_, g) in enumerate(gens):
+            assert g.tobytes() == want[:, :, k].tobytes()
+
+
+def test_every_numeric_dt_default_is_the_default_step():
+    """Every public function with a numeric dt default takes the one
+    constant, _engine.DEFAULT_DT; estimate_invariant_measure's default
+    substep is min(h, DEFAULT_DT)."""
+    fns = [_engine.evolve_vectors, _engine.evolve_matrices]
+    fns += [getattr(lf, name) for name in lf.__all__ if inspect.isfunction(getattr(lf, name))]
+    with_dt = {}
+    for fn in fns:
+        param = inspect.signature(fn).parameters.get("dt")
+        if param is not None and isinstance(param.default, (int, float)):
+            with_dt[fn.__name__] = param.default
+    assert set(with_dt) == {"evolve_vectors", "evolve_matrices", "lyapunov_estimate",
+                            "clt_diagnostic", "lambda_moment_function", "berry_esseen_curve",
+                            "contraction_estimate", "mixing_rate"}
+    assert all(v is _engine.DEFAULT_DT for v in with_dt.values())
+    sb2 = lf.builtin_triplet("standard_brownian(2)")
+    for h, dt in ((0.2, _engine.DEFAULT_DT), (0.02, 0.02)):
+        args = (sb2, h, 6, 2, 3, 5)
+        assert np.array_equal(lf.estimate_invariant_measure(*args).points,
+                              lf.estimate_invariant_measure(*args, dt=dt).points)
 
 
 @pytest.mark.parametrize("triplet", [MIXED, lf.builtin_triplet("rotation_rank1"),

@@ -292,6 +292,17 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_special_unloaded():
+    """lambda_moment_function's logsumexp and berry_esseen_curve's ndtr are
+    imported when called, so importing levyflow, its CLI included, does not
+    load scipy.special."""
+    code = "import sys, levyflow.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(lf.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def test_import_leaves_fractions_and_decimal_unloaded():
     """The CSV kernel builds its double-double powers of ten from Python ints
     on first use, so importing the CLI loads neither fractions nor decimal."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -171,11 +173,77 @@ class TestSingularStep:
         with pytest.raises(lf.SingularFactor, match=r"<= 1e-12"):
             lf.emery_exponential(path)
 
+    def test_triplet_sites_give_one_message(self):
+        """Every refusal of a triplet's atoms is refuse_singular_atoms'."""
+        trip = self._triplet(self.A)
+        with pytest.raises(lf.SingularJump) as want:
+            lf.refuse_singular_atoms(trip)
+        for call in (lambda: lf.moment_check(trip, 1.0),
+                     lambda: lf.check_characteristics(trip),
+                     lambda: lf.mean_check(trip, 1.0, 10, 0)):
+            with pytest.raises(lf.SingularJump) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
     def test_atom_just_outside_the_rule_is_accepted(self):
         trip = self._triplet(np.diag([-1.0 + 1e-11, 0.0]))
         assert lf.validate(trip).valid
         assert np.isfinite(lf.check_characteristics(trip).mean)
         lf.moment_check(trip, 1.0)
+
+
+class TestCompensatedMask:
+    """The truncation 1{||vec a|| <= 1} of the triplet is one cached mask,
+    read by jump_compensator, generator_apply and check_characteristics.
+    The atoms have ||vec a|| exactly 1 and one ulp below and above it."""
+
+    ATOMS = (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, np.nextafter(1.0, 0.0), 0.0]),
+             np.diag([0.0, 0.0, np.nextafter(1.0, 2.0)]))
+    RATES = (0.5, 1.25, 2.0)
+
+    def _triplet(self):
+        jumps = lf.JumpSpec(rate=sum(self.RATES),
+                            atoms=tuple((r / sum(self.RATES), a)
+                                        for r, a in zip(self.RATES, self.ATOMS)))
+        gamma = np.array([[0.3, -0.2, 0.1], [0.0, 0.4, 0.2], [0.5, 0.0, -0.1]])
+        return lf.MatrixLevyTriplet(d=3, sigma=np.zeros((9, 9)), gamma=gamma,
+                                    drift0=np.zeros((3, 3)), jumps=jumps)
+
+    def _loop(self, trip):
+        """[(rate, atom, compensated)] per atom, the norm summed in Python."""
+        return [(r, a, math.sqrt(sum(x * x for x in a.ravel().tolist())) <= 1.0)
+                for r, a in zip(trip.rates.tolist(), trip.marks)]
+
+    def test_mask_at_the_boundary(self):
+        trip = self._triplet()
+        assert trip.compensated.tolist() == [c for _, _, c in self._loop(trip)]
+        assert trip.compensated.tolist() == [True, True, False]
+        with pytest.raises(ValueError):
+            trip.compensated[2] = True
+
+    def test_compensator_agrees_with_a_loop(self):
+        trip = self._triplet()
+        want = sum(r * a for r, a, c in self._loop(trip) if c)
+        np.testing.assert_allclose(trip.jump_compensator(), want, rtol=1e-15, atol=0.0)
+
+    def test_generator_first_order_term_agrees_with_a_loop(self):
+        trip = self._triplet()
+        c = np.arange(9.0).reshape(3, 3) - 4.0
+        f = lf.SmoothFunction(value=lambda x: np.sum(c * x, axis=(-2, -1)),
+                              grad=lambda x: c, hess=lambda x: np.zeros((3, 3, 3, 3)))
+        x = np.eye(3) + 0.1 * np.arange(9.0).reshape(3, 3)
+        ell = x @ trip.gamma - sum(r * x @ a for r, a, comp in self._loop(trip) if comp)
+        jumps = sum(r * (f.value(x + x @ a) - f.value(x)) for r, a, _ in self._loop(trip))
+        assert lf.generator_apply(trip, f, x) == pytest.approx(np.sum(ell * c) + jumps,
+                                                              rel=1e-13)
+
+    def test_log_det_gamma_agrees_with_a_loop(self):
+        trip = self._triplet()
+        want = float(np.trace(trip.gamma))
+        for r, a, comp in self._loop(trip):
+            v = math.log(abs(np.linalg.det(np.eye(3) + a)))
+            want += r * (v * (abs(v) <= 1.0) - np.trace(a) * comp)
+        assert lf.check_characteristics(trip).gamma_D == pytest.approx(want, rel=1e-13)
 
 
 class TestConfigRoundTrip:
