@@ -18,6 +18,9 @@ E[D (I + dB)] = D and the noise is independent of the jumps, so E[X_t] is
 exact too.  D is the forward stack of the same pair at r = 1 (the pair is
 built with or without jumps), so it is bit for bit the exponential of a jump
 at offset 0.
+A run on [0, T] takes the steps of ``_linalg.step_grid(T, dt)``, the one
+step grid that the path sampler reads too, so dt there is T / n for a whole
+number n of steps.
 D is folded once into the triplet's Brownian factor G, which gives dB = G @ z
 for standard normals z: with G'[m, j] = sum_k D[m, k] G[k, j],
 F = D + G' @ z.  Inside the step loop the state is paths-last: m rows
@@ -71,7 +74,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._linalg import expm_pair_last, grid_indices, matmul_last, psd_factor
+from ._linalg import expm_pair_last, grid_indices, matmul_last, psd_factor, step_grid
 from .levy_model import MatrixLevyTriplet, refuse_singular_atoms
 
 
@@ -87,6 +90,13 @@ JUMP_KEY = 0x6A756D70
 
 class DegenerateNorm(ArithmeticError):
     """A norm statistic vanished, lost all fluctuation, or is not finite."""
+
+
+def need_two_paths(n: int) -> None:
+    """The two-path floor of every estimator that reports a Monte Carlo
+    spread: fewer than two paths raise ValueError."""
+    if n < 2:
+        raise ValueError(f"a variance needs two or more paths, got {n}")
 
 
 class _StepScheme:
@@ -111,7 +121,7 @@ class _StepScheme:
         if triplet.jumps.active:
             refuse_singular_atoms(triplet)
             self.jump_rate = triplet.jumps.rate
-            self.probs = triplet.rates / triplet.rates.sum()
+            self.probs = triplet.probs
             self.marks_last = triplet.marks.transpose(1, 2, 0)
         else:
             self.jump_rate = 0.0
@@ -278,9 +288,9 @@ def _step_normals(rng, shape, n_steps: int):
             yield from block
 
 
-def _snapshot_indices(snapshot_times, n_steps: int, dt: float):
-    """Snapshot times on the step grid k * dt, and step -> snapshot positions."""
-    grid = np.arange(n_steps + 1) * dt
+def _snapshot_indices(snapshot_times, grid: np.ndarray):
+    """Snapshot times on the run's ``step_grid``, and step -> snapshot
+    positions."""
     idx = grid_indices(grid, snapshot_times)
     by_step: dict[int, list[int]] = {}
     for pos, k in enumerate(idx.tolist()):
@@ -301,10 +311,10 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
     if not (T > 0 and dt > 0 and len(states) >= 1):
         raise ValueError(f"need T > 0, dt > 0 and n_paths >= 1, got T={T}, dt={dt}, "
                          f"n_paths={len(states)}")
-    n_steps = max(1, int(round(T / dt)))
-    dt_eff = T / n_steps
-    times, by_step = _snapshot_indices(snapshot_times, n_steps, dt_eff)
-    scheme = _StepScheme(triplet, dt_eff, single_row=states.shape[1] == 1)
+    grid = step_grid(T, dt)
+    n_steps = len(grid) - 1
+    times, by_step = _snapshot_indices(snapshot_times, grid)
+    scheme = _StepScheme(triplet, grid[1], single_row=states.shape[1] == 1)
     rng = np.random.default_rng(seed)
     n_paths = len(states)
     out_states = np.empty((len(times),) + states.shape)

@@ -5,6 +5,10 @@ d x d matrix sits at flat index ``j*d + m``.  The d^2 x d^2 covariance of
 vec(L) therefore holds the covariance between components L^(m,j) and
 L^(n,l) at position (j*d+m, l*d+n).
 
+``step_grid`` is the package's one rule for splitting a horizon T into steps
+of about dt, read by the engine, the path sampler and the invariant-measure
+skeleton; ``grid_indices`` is its one map from times to grid indices.
+
 ``expm_pair_last`` is the package's one matrix exponential: the engine's
 drift factor and jump rounds, the exact walker's cell factors, the target of
 ``mean_check`` and the drift generators of ``geometry`` all come from it, so
@@ -18,7 +22,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "psd_factor", "OffGrid", "grid_indices", "line_fit", "expm_pair_last", "matmul_last",
+    "psd_factor", "OffGrid", "step_grid", "grid_indices", "line_fit", "expm_pair_last",
+    "matmul_last",
 ]
 
 
@@ -36,6 +41,17 @@ def psd_factor(sigma: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(np.asarray(sigma, dtype=float))
     w = np.clip(w, 0.0, None)
     return v * np.sqrt(w)
+
+
+def step_grid(T: float, dt: float) -> np.ndarray:
+    """The step grid of a horizon T at step about dt: the package's one rule
+    for splitting (T, dt) into steps.  It has n = max(1, round(T / dt))
+    steps, points k * (T / n) with the last set to T, so grid[1] is the step
+    T / n and a T that is n steps of dt gives n steps, not n + 1."""
+    n = max(1, int(round(T / dt)))
+    grid = np.arange(n + 1) * (T / n)
+    grid[-1] = T
+    return grid
 
 
 def grid_indices(grid: np.ndarray, times) -> np.ndarray:

@@ -125,9 +125,10 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _param(params: dict, key: str, kind, default=_MISSING, least=None, above=None):
-    """``parameters[key]`` as ``kind``, or ``default`` when absent.  A number,
-    or every entry of a list, must be finite and, where given, >= ``least``
-    and > ``above``; else a ConfigError names the key."""
+    """``parameters[key]`` as ``kind`` (float, int, str or list), or
+    ``default`` when absent.  A number, or every entry of a list, must be
+    finite and, where given, >= ``least`` and > ``above``; else a
+    ConfigError names the key."""
     where = f"parameters.{key}"
     if key not in params:
         if default is not _MISSING:
@@ -145,19 +146,13 @@ def _param(params: dict, key: str, kind, default=_MISSING, least=None, above=Non
         if not isinstance(val, str):
             raise ConfigError(where, f"expected a string, got {type(val).__name__}")
         return val
-    elif kind is list:
+    else:  # list
         if not isinstance(val, list) or not val:
             raise ConfigError(where, "expected a nonempty list")
         try:
             val = [float(v) for v in val]
         except (TypeError, ValueError):
             raise ConfigError(where, "expected a list of numbers") from None
-    elif kind is dict:
-        if not isinstance(val, dict):
-            raise ConfigError(where, f"expected an object, got {type(val).__name__}")
-        return val
-    else:
-        raise AssertionError(kind)
     for v in val if kind is list else [val]:
         if not math.isfinite(v):
             raise ConfigError(where, f"expected a finite number, got {v}")
@@ -261,6 +256,8 @@ def _run_simulate(triplet, params, seed):
     method = _param(params, "method", str, default="auto")
     if method not in ("auto", "emery", "exact"):
         raise ConfigError("parameters.method", "expected auto, emery, or exact")
+    if method == "exact" and triplet.has_gaussian_part():
+        raise ConfigError("parameters.method", "exact needs a triplet with sigma = 0")
     T, path = _levy_path(triplet, params, seed)
     if method == "emery":
         ep = emery_exponential(path)

@@ -39,16 +39,16 @@ class CheckTriplet:
     mean: float
 
 
-def _sigma_d(sigma: np.ndarray, d: int) -> float:
+def _sigma_d(triplet: MatrixLevyTriplet) -> float:
     """sum_{m,n} sigma_{(m,m),(n,n)} — variance rate of the Brownian trace."""
-    idx = np.arange(d) * (d + 1)
-    return float(sigma[np.ix_(idx, idx)].sum())
+    m, n = np.ogrid[:triplet.d, :triplet.d]
+    return float(triplet.entry_covariance[m, m, n, n].sum())
 
 
-def _s2(sigma: np.ndarray, d: int) -> float:
+def _s2(triplet: MatrixLevyTriplet) -> float:
     """sum_{m,n} sigma_{(m,n),(n,m)} — the Ito correction in log det."""
-    m, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return float(sigma[n * d + m, m * d + n].sum())
+    m, n = np.ogrid[:triplet.d, :triplet.d]
+    return float(triplet.entry_covariance[m, n, n, m].sum())
 
 
 def check_characteristics(triplet: MatrixLevyTriplet) -> CheckTriplet:
@@ -59,18 +59,18 @@ def check_characteristics(triplet: MatrixLevyTriplet) -> CheckTriplet:
     v = np.linalg.slogdet(np.eye(d) + marks)[1]
     # compensated part of each atom: trace a_i for ||vec a_i|| <= 1
     comp = np.trace(marks, axis1=1, axis2=2) * triplet.compensated
-    base = float(np.trace(triplet.gamma)) - 0.5 * _s2(triplet.sigma, d)
+    base = float(np.trace(triplet.gamma)) - 0.5 * _s2(triplet)
     gamma_d = base + float(r @ (v * (np.abs(v) <= 1.0) - comp))
     mean = base + float(r @ (v - comp))
     nu = tuple((float(ri), float(vi)) for ri, vi in zip(r, v) if vi != 0.0)
-    return CheckTriplet(sigma_D=_sigma_d(triplet.sigma, d), gamma_D=gamma_d, nu_D=nu,
+    return CheckTriplet(sigma_D=_sigma_d(triplet), gamma_D=gamma_d, nu_D=nu,
                         mean=mean)
 
 
 def det_log_series(path: LevyPath, triplet: MatrixLevyTriplet):
     """(t, log|D_t|, sign(D_t)) at every grid point of the path."""
     d = path.d
-    s2 = _s2(triplet.sigma, d)
+    s2 = _s2(triplet)
     n = len(path.grid)
     tr = np.zeros(n)
     tr[1:] = np.cumsum(np.trace(path.increments, axis1=1, axis2=2))
@@ -125,9 +125,9 @@ def sl_membership(triplet: MatrixLevyTriplet):
     """
     d = triplet.d
     failed = []
-    if _sigma_d(triplet.sigma, d) > 1e-12:
+    if _sigma_d(triplet) > 1e-12:
         failed.append("brownian-trace")
-    s2 = _s2(triplet.sigma, d)
+    s2 = _s2(triplet)
     drift_trace = 2.0 * float(np.trace(triplet.drift()))
     if abs(drift_trace - s2) > 1e-12 * max(1.0, abs(s2), abs(drift_trace)):
         failed.append("drift-trace")

@@ -245,10 +245,11 @@ def ip_certify(triplet: MatrixLevyTriplet, search_depth: int = 6,
                n_samples: int = 32, seed=0) -> IpCertificate:
     """Semi-decide condition (i-p).
 
-    Positive-definite sigma certifies immediately.  With sigma = 0 the
-    semigroup generated by drift exponentials and jump factors is searched
-    for a proximal word, invariant line/plane families (d <= 3) falsify
-    strong irreducibility, and the rotation-density patterns certify it.  A
+    Positive-definite sigma certifies immediately.  With sigma = 0,
+    invariant line/plane families (d <= 3) of the semigroup generated by
+    drift exponentials and jump factors falsify strong irreducibility; where
+    none closes and a rotation-density pattern certifies it, the semigroup
+    is searched for a proximal word, which completes the certificate.  A
     Gaussian part that is neither zero nor full rank leaves both halves
     undecided (its reachable directions are not captured by the generator
     set), so the result is "unknown".  ``n_samples`` below 8 raises
@@ -276,8 +277,10 @@ def ip_certify(triplet: MatrixLevyTriplet, search_depth: int = 6,
             return IpCertificate(status="falsified_irreducibility",
                                  route="search", counterexample=family)
 
-    found = _proximal_word(gens, search_depth, n_samples, rng)
-    if found is not None and _rotation_density(triplet):
+    # a proximal word certifies only with the density pattern beside it
+    found = (_proximal_word(gens, search_depth, n_samples, rng)
+             if _rotation_density(triplet) else None)
+    if found is not None:
         word, prod = found
         witness = {
             "word": word,
@@ -323,12 +326,12 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
 
     First-order coefficient ell(x) = x gamma_L - sum_i r_i x a_i
     1{||a_i||_F <= 1}, the drift with the small atoms' compensation;
-    diffusion Q(x)^{(i,j,k,l)} = sum_{m,n} x^{(i,m)} sigma_{(m,j),(n,l)}
-    x^{(k,n)}; jumps add sum_i r_i (f(x + x a_i) - f(x)).  The atoms are one
-    (k, d, d) stack, so f.value is called once on all of the post-jump states.
+    diffusion Q(x)^{(i,j,k,l)} = sum_{m,n} x^{(i,m)} C[m, j, n, l] x^{(k,n)}
+    with C the triplet's ``entry_covariance``; jumps add sum_i r_i (f(x +
+    x a_i) - f(x)).  The atoms are one (k, d, d) stack, so f.value is called
+    once on all of the post-jump states.
     """
     x = np.asarray(x, dtype=float)
-    d = triplet.d
     _spot_check_derivatives(f, x)
     g = np.asarray(f.grad(x), dtype=float)
 
@@ -339,8 +342,7 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
 
     if triplet.has_gaussian_part():
         hess = np.asarray(f.hess(x), dtype=float)
-        sigma4 = triplet.sigma.reshape(d, d, d, d)  # [j, m, l, n] = sigma_{(m,j),(n,l)}
-        q = np.einsum("im,jmln,kn->ijkl", x, sigma4, x)
+        q = np.einsum("im,mjnl,kn->ijkl", x, triplet.entry_covariance, x)
         total += 0.5 * float(np.einsum("ijkl,ijkl->", q, hess))
 
     return total + float(rates @ (f.value(x + xa) - f.value(x)))
@@ -353,8 +355,9 @@ def generator_mc_check(triplet: MatrixLevyTriplet, f: SmoothFunction,
 
     Returns (rows, generator_value) with rows of (h, quotient, se, z); the
     z-score is 0 by convention when the Monte Carlo SE vanishes
-    (deterministic dynamics).
+    (deterministic dynamics).  Fewer than two paths raise ValueError.
     """
+    _engine.need_two_paths(n_paths)
     x = np.asarray(x, dtype=float)
     a_val = generator_apply(triplet, f, x)
     fx = f.value(x)

@@ -9,9 +9,9 @@ defined and the two are linked by
 
     gamma = drift0 + rate * sum_i p_i * a_i * 1{ ||vec a_i|| <= 1 }.
 
-Cutoff indicators use the Euclidean norm of vec(.), i.e. the Frobenius norm;
-free-standing matrix norms (moment integrals, jump thresholds) use the
-operator 2-norm.
+Cutoff indicators use the Euclidean norm of vec(.), i.e. the Frobenius norm,
+and ``small_jump`` alone evaluates them; free-standing matrix norms (moment
+integrals, jump thresholds) use the operator 2-norm.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ __all__ = [
     "PSD_TOL", "DET_TOL",
     "JumpSpec", "MatrixLevyTriplet", "ValidationReport", "MomentReport",
     "UnknownName", "SingularJump",
-    "singular_step", "refuse_singular_atoms", "validate", "moment_check",
+    "singular_step", "small_jump", "refuse_singular_atoms", "validate", "moment_check",
     "builtin_triplet", "triplet_to_config", "triplet_from_config",
 ]
 
@@ -52,6 +52,14 @@ def singular_step(a) -> np.ndarray:
     is a boolean of shape () or (k,)."""
     a = np.asarray(a, dtype=float)
     return np.abs(np.linalg.det(np.eye(a.shape[-1]) + a)) <= DET_TOL
+
+
+def small_jump(a) -> np.ndarray:
+    """1{||vec a|| <= 1}, the jumps that gamma compensates (the truncation
+    of the triplet): the one evaluation of the cutoff.  ``a`` is one (d, d)
+    matrix or a (k, d, d) stack; the result is a boolean of shape () or
+    (k,)."""
+    return np.linalg.norm(np.asarray(a, dtype=float), axis=(-2, -1)) <= 1.0
 
 
 def refuse_singular_atoms(triplet: MatrixLevyTriplet) -> None:
@@ -111,13 +119,14 @@ class MatrixLevyTriplet:
 
     sigma follows the vec-index convention of :mod:`levyflow._linalg`:
     sigma[(j*d+m, l*d+n)] is the Gaussian covariance between components
-    L^(m,j) and L^(n,l) (0-based indices).
+    L^(m,j) and L^(n,l) (0-based indices).  Other modules read it through
+    ``entry_covariance``, in matrix indices, or ``brownian_factor``.
 
     The jump atoms and the Gaussian part are resolved once, on first use
     (so :func:`validate` can still report a misshapen atom), to read-only
     arrays that every consumer reads: ``marks`` (k, d, d), ``rates`` (k,),
-    ``compensated`` (k,), ``brownian_factor`` (d, d, d^2) and
-    ``row_covariance`` (d, d) or None.
+    ``probs`` (k,), ``compensated`` (k,), ``entry_covariance`` (d, d, d, d),
+    ``brownian_factor`` (d, d, d^2) and ``row_covariance`` (d, d) or None.
     """
 
     d: int
@@ -148,16 +157,31 @@ class MatrixLevyTriplet:
         return _frozen(self.jumps.rate * np.array([p for p, _ in self.jumps.atoms]))
 
     @cached_property
+    def probs(self) -> np.ndarray:
+        """The atom law rate_i / sum rate, shape (k,), by which the engine and
+        the path sampler draw a jump's atom.  Defined where the rates have a
+        positive sum (an active jump part), the only place either reads it."""
+        return _frozen(self.rates / self.rates.sum())
+
+    @cached_property
     def compensated(self) -> np.ndarray:
-        """1{||vec a_i|| <= 1} per atom, shape (k,): the atoms whose jumps
-        gamma compensates (the truncation of the triplet)."""
-        return _frozen(np.linalg.norm(self.marks, axis=(1, 2)) <= 1.0)
+        """``small_jump`` per atom, shape (k,): the atoms whose jumps gamma
+        compensates (the truncation of the triplet)."""
+        return _frozen(small_jump(self.marks))
+
+    @cached_property
+    def entry_covariance(self) -> np.ndarray:
+        """sigma in matrix indices: the read-only (d, d, d, d) view whose
+        [m, j, n, l] is sigma[(j*d+m), (l*d+n)], the covariance rate of the
+        entries L^(m,j) and L^(n,l)."""
+        d = self.d
+        return self.sigma.reshape(d, d, d, d).transpose(1, 0, 3, 2)
 
     @cached_property
     def brownian_factor(self) -> np.ndarray:
         """G of shape (d, d, d^2) with dB = G @ z for z ~ N(0, I): entry
         (m, j) of dB is row j*d+m of a factor of sigma, so sum_r G[m, j, r]
-        G[n, l, r] = sigma[(j*d+m), (l*d+n)]."""
+        G[n, l, r] = entry_covariance[m, j, n, l]."""
         g = psd_factor(self.sigma).reshape(self.d, self.d, -1)
         return _frozen(g.transpose(1, 0, 2))
 
@@ -167,8 +191,9 @@ class MatrixLevyTriplet:
         C kron I_d exactly, so that cov(dB_kj, dB_lm) = delta_kl C_jm dt:
         the rows of dB are independent, each with covariance C dt.  None for
         any other sigma.  A zero sigma gives C = 0."""
-        c = self.sigma[::self.d, ::self.d]
-        if not np.array_equal(self.sigma, np.kron(c, np.eye(self.d))):
+        cov = self.entry_covariance
+        c = cov[0, :, 0, :]
+        if not np.array_equal(cov, np.einsum("mn,jl->mjnl", np.eye(self.d), c)):
             return None
         return _frozen(c.copy())
 
@@ -215,8 +240,9 @@ def validate(triplet: MatrixLevyTriplet) -> ValidationReport:
     """Check all structural invariants of a triplet; never raises."""
     bad: list[tuple[str, str, int | None]] = []
     d = triplet.d
-    if d < 1:
-        bad.append(("dimension", f"d must be >= 1, got {d}", None))
+    if d < 1:  # no other rule applies to an empty sigma
+        return ValidationReport(valid=False,
+                                violations=(("dimension", f"d must be >= 1, got {d}", None),))
 
     sigma = triplet.sigma
     scale = max(float(np.linalg.norm((sigma + sigma.T) / 2.0, 2)), 1e-300)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from ._engine import DegenerateNorm
+from ._engine import DegenerateNorm, need_two_paths
 from ._linalg import line_fit
 from .levy_model import MatrixLevyTriplet
 from .path_sampler import ExpPath
@@ -144,7 +144,8 @@ class BerryEsseenReport:
 def _terminal_log_samples(triplet, F: FunctionalSpec, ts, n_paths, seed, dt):
     """log F(X_t) samples (k, n_paths) at each of the k requested times, from
     one engine pass, and the (k, n_paths, d) directions of y X_t for the
-    vector kinds (None for ``op_norm``)."""
+    vector kinds (None for ``op_norm``).  An overlap |<y X_t, z>| that is 0
+    or not finite has no logarithm and raises DegenerateNorm."""
     ts = np.asarray(ts, dtype=float)
     if F.kind == "op_norm":
         _, states, logs = _engine.evolve_matrices(
@@ -157,12 +158,9 @@ def _terminal_log_samples(triplet, F: FunctionalSpec, ts, n_paths, seed, dt):
     if z is None:
         return logs, dirs
     overlap = np.abs(np.einsum("knd,d->kn", dirs, z))
-    return logs + np.log(np.maximum(overlap, 1e-300)), dirs
-
-
-def _need_two_paths(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"a variance needs two or more paths, got {n}")
+    if not np.all(np.isfinite(overlap) & (overlap > 0.0)):
+        raise DegenerateNorm("|<y X_t, z>| is 0 or not finite on some path")
+    return logs + np.log(overlap), dirs
 
 
 def _growth(samples: np.ndarray, T: float):
@@ -173,7 +171,7 @@ def _growth(samples: np.ndarray, T: float):
     estimator: a sample variance below 1e-10 * T.  Fewer than two samples
     raise ValueError."""
     n = len(samples)
-    _need_two_paths(n)
+    need_two_paths(n)
     var = float(samples.var(ddof=1))
     sd = np.sqrt(var)
     sigma2 = var / T
@@ -223,7 +221,7 @@ def lambda_moment_function(triplet: MatrixLevyTriplet, s_grid, n: float, n_paths
     paths raise ValueError.
     """
     from scipy.special import logsumexp  # here only, so that importing levyflow skips scipy
-    _need_two_paths(n_paths)
+    need_two_paths(n_paths)
     s_grid = np.asarray(s_grid, dtype=float)
     ell = _terminal_log_samples(triplet, FunctionalSpec.op_norm(), [float(n)],
                                 n_paths, seed, dt)[0][0]

@@ -3,14 +3,15 @@
 A path of the driving process L is a grid of times, the continuous (drift +
 Brownian) increment per cell, and time-sorted jumps whose marks it stacks once,
 refusing those that ``singular_step`` calls singular.  Jump times are grid
-points: the sampler merges them into the uniform grid, and hand-built paths
-must do the same.  The exponential walkers form one time-ordered product: each
-cell's factor, then at a grid point carrying jumps their exact factors
-(I + mark) in list order; ``auto_exponential`` picks the walker.  The exact
-walker's cell factors and the mean check's target are the forward stack of
-``_linalg.expm_pair_last``, the package's one matrix exponential, which is
-elementwise: a cell's factor depends on its own length and the longest
-cell's, not on how many cells the path has.
+points: the sampler merges them into ``_linalg.step_grid``, the uniform grid
+whose steps the engine takes too, and hand-built paths must do the same.  The
+exponential walkers form one time-ordered product: each cell's factor, then at
+a grid point carrying jumps their exact factors (I + mark) in list order;
+``auto_exponential`` picks the walker.  The exact walker's cell factors and the
+mean check's target are the forward stack of ``_linalg.expm_pair_last``, the
+package's one matrix exponential, which is elementwise: a cell's factor
+depends on its own length and the longest cell's, not on how many cells the
+path has.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import _engine
-from ._linalg import expm_pair_last, grid_indices
+from ._linalg import expm_pair_last, grid_indices, step_grid
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
 
 __all__ = [
@@ -212,11 +213,11 @@ def _walk(path: LevyPath, cell_factors, method: str) -> ExpPath:
 def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> LevyPath:
     """Draw one path of L on [0, T].
 
-    The grid is the uniform partition with ceil(T/dt) cells merged with the
-    (Poisson) jump times, so jumps sit exactly on grid points.  Brownian
-    increments per cell have covariance (cell length) * sigma on vec
-    coordinates and the drift adds (cell length) * gamma^0.  Deterministic
-    given ``seed`` (an integer or a numpy SeedSequence).
+    The grid is ``_linalg.step_grid(T, dt)``, the engine's step grid,
+    merged with the (Poisson) jump times, so jumps sit exactly on grid
+    points.  Brownian increments per cell have covariance (cell length) *
+    sigma on vec coordinates and the drift adds (cell length) * gamma^0.
+    Deterministic given ``seed`` (an integer or a numpy SeedSequence).
     """
     if dt <= 0 or T <= 0:
         raise InvalidStep(f"need 0 < dt <= T, got dt={dt}, T={T}")
@@ -230,14 +231,10 @@ def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> L
     if triplet.jumps.active:
         n_jumps = int(rng.poisson(triplet.jumps.rate * T))
         jump_times = np.sort(T * (1.0 - rng.random(n_jumps)))
-        rates = triplet.rates
-        kinds = rng.choice(len(rates), size=n_jumps, p=rates / rates.sum())
+        kinds = rng.choice(len(triplet.probs), size=n_jumps, p=triplet.probs)
         jumps = tuple(zip(jump_times.tolist(), triplet.marks[kinds]))
 
-    n_cells = max(1, int(np.ceil(T / dt - 1e-12)))
-    base = np.arange(n_cells + 1) * (T / n_cells)
-    base[-1] = T
-    grid = np.unique(np.concatenate([base, jump_times]))
+    grid = np.unique(np.concatenate([step_grid(T, dt), jump_times]))
 
     lens = np.diff(grid)
     inc = lens[:, None, None] * triplet.drift()
@@ -369,9 +366,11 @@ def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> Mean
     the mean exact at any step, so sigma = 0 takes one step of length t (the
     samples are then exact products); otherwise steps of t/256 keep the
     samples' spread, which sets the standard errors, close to that of X_t.
+    t <= 0 or fewer than two paths raise ValueError.
     """
-    if t <= 0 or n_paths < 2:
-        raise ValueError("need t > 0 and n_paths >= 2")
+    if t <= 0:
+        raise ValueError(f"need t > 0, got {t}")
+    _engine.need_two_paths(n_paths)
     dt = t / 256.0 if triplet.has_gaussian_part() else t
     samples = _engine.evolve_matrices(triplet, t, n_paths, seed, [t], dt,
                                       renormalize=False)[1][0]

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import _engine
-from ._linalg import line_fit
+from ._linalg import line_fit, step_grid
 from .levy_model import MatrixLevyTriplet
 from .path_sampler import ExpPath
 
@@ -191,7 +191,7 @@ def estimate_invariant_measure(triplet: MatrixLevyTriplet, h: float,
     """Pool post-burn-in states of independent skeleton chains Z_{nh}.
 
     Chains start from the rotation-invariant measure; each skeleton step is
-    simulated with internal substeps of size about ``dt`` (default
+    simulated with the substeps of ``step_grid(h, dt)`` (default dt =
     min(h, _engine.DEFAULT_DT)).  Weights are uniform over the pooled states, which are
     serially correlated along each chain — thin before applying tests that
     assume independent samples.
@@ -209,7 +209,7 @@ def estimate_invariant_measure(triplet: MatrixLevyTriplet, h: float,
     snap_times = np.arange(burn_in + 1, n_steps + 1) * h
     _, dirs, _ = _engine.evolve_vectors(
         triplet, starts[:, None, :], n_steps * h, n_chains, s_engine,
-        snap_times, dt=h / max(1, int(round(h / dt))))
+        snap_times, dt=step_grid(h, dt)[1])
     points = canonical_unit(dirs[:, :, 0, :].reshape(-1, triplet.d).T).T
     weights = np.full(len(points), 1.0 / len(points))
     meta = {
@@ -270,7 +270,9 @@ def mixing_rate(triplet: MatrixLevyTriplet, f: HolderFn, starts, t_grid,
     not yet coupled), so each grid point comes with a standard error for the
     realized extreme pair and only points resolving their own noise
     (sup_diff > 3 se) enter the decay fit; the full table is still reported.
+    Fewer than two paths raise ValueError.
     """
+    _engine.need_two_paths(n_paths)
     start_arr = np.array([_as_unit(p) for p in starts])
     t_grid = np.asarray(t_grid, dtype=float)
     _, dirs, _ = _engine.evolve_vectors(

@@ -220,6 +220,42 @@ class TestConfigErrors:
         with pytest.raises(cli.ValidationError, match="sigma-psd"):
             cli.run_scenario(cfg)
 
+    @pytest.mark.parametrize("change, key, message", [
+        ({"experiment": None}, "experiment", "missing required key"),
+        ({"experiment": "nope"}, "experiment", "unknown experiment"),
+        ({"triplet": None}, "triplet", "missing required key"),
+        ({"triplet": 3}, "triplet", "builtin name or an object"),
+        ({"parameters": [1.0]}, "parameters", "expected an object"),
+        ({"parameters": {"T": 1.0, "dt": 0.5, "seed": "1"}}, "parameters.seed",
+         "expected an integer"),
+        ({"output_dir": None}, "output_dir", "missing required key"),
+    ], ids=["no_experiment", "unknown_experiment", "no_triplet", "triplet_type",
+            "parameters_type", "seed_type", "no_output_dir"])
+    def test_scenario_refusal_names_key(self, tmp_path, change, key, message):
+        doc = json.loads(_simulate_config(tmp_path).read_text())
+        doc = {k: v for k, v in {**doc, **change}.items() if v is not None}
+        with pytest.raises(cli.ConfigError, match=message) as exc:
+            cli.run_scenario(_write_config(tmp_path, doc))
+        assert exc.value.path == key
+
+    @pytest.mark.parametrize("kind, value, message", [
+        (float, "1", "expected a number, got str"),
+        (float, True, "expected a number, got bool"),
+        (int, 2.0, "expected an integer, got float"),
+        (int, True, "expected an integer, got bool"),
+        (str, 3, "expected a string, got int"),
+        (list, 1.0, "expected a nonempty list"),
+        (list, [], "expected a nonempty list"),
+        (list, ["a"], "expected a list of numbers"),
+        (list, [None], "expected a list of numbers"),
+        (list, [1.0, float("inf")], "expected a finite number"),
+    ], ids=["float_str", "float_bool", "int_float", "int_bool", "str_int", "list_scalar",
+            "list_empty", "list_str", "list_none", "list_inf"])
+    def test_parameter_type_refusal_names_key(self, kind, value, message):
+        with pytest.raises(cli.ConfigError, match=message) as exc:
+            cli._param({"k": value}, "k", kind)
+        assert exc.value.path == "parameters.k"
+
 
 class TestMain:
     def test_success_exit_zero(self, tmp_path, capsys):
@@ -263,10 +299,19 @@ class TestMain:
         assert "DegenerateNorm" in capsys.readouterr().err
 
     def test_runtime_error_exit_three(self, tmp_path, capsys):
-        cfg = _simulate_config(tmp_path, triplet="standard_brownian(2)",
-                               method="exact")
+        # the Emery cell factor 1 + dt * (-10) = 0 at dt = 0.1 is singular
+        cfg = _simulate_config(tmp_path, triplet="gbm1(-10, 0)", method="emery", dt=0.1)
         assert cli.main(["simulate", "--config", str(cfg)]) == 3
-        assert capsys.readouterr().err != ""
+        assert "SingularFactor" in capsys.readouterr().err
+
+    def test_vanished_overlap_exit_three(self, tmp_path, capsys):
+        """diagonal_reducible keeps X_t^(0,1) = 0, which has no logarithm."""
+        doc = {"triplet": "diagonal_reducible", "experiment": "clt",
+               "parameters": {"T": 5.0, "n_paths": 50, "seed": 1,
+                              "F": {"kind": "entry", "i": 0, "j": 1}},
+               "output_dir": str(tmp_path / "o")}
+        assert cli.main(["clt", "--config", str(_write_config(tmp_path, doc))]) == 3
+        assert "DegenerateNorm" in capsys.readouterr().err
 
     def test_unknown_method_exits_two_before_sampling(self, tmp_path, capsys, monkeypatch):
         def no_path(*args, **kwargs):
@@ -274,6 +319,17 @@ class TestMain:
 
         monkeypatch.setattr(cli, "sample_levy_path", no_path)
         cfg = _simulate_config(tmp_path, method="euler")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert "parameters.method" in capsys.readouterr().err
+
+    def test_exact_method_with_gaussian_part_exits_two_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        """The exact product needs sigma = 0, which the config alone decides."""
+        def no_path(*args, **kwargs):
+            raise AssertionError("the path was sampled")
+
+        monkeypatch.setattr(cli, "sample_levy_path", no_path)
+        cfg = _simulate_config(tmp_path, triplet="standard_brownian(2)", method="exact")
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
         assert "parameters.method" in capsys.readouterr().err
 

@@ -90,6 +90,47 @@ class TestIpCertify:
         assert cert.status == "falsified_irreducibility"
         assert cert.counterexample["kind"] == "lines"
 
+    # sigma = 0 route: no generator at all; a quarter-turn drift whose words
+    # are all rotations, searched through random words of length 3..6 and of
+    # length 2 (search depth 2) without a proximal one; and atoms R_1 (a
+    # rotation by 1 radian, the density pattern) and B, every word of length
+    # <= 2 elliptic but R_1 B B hyperbolic, so the random words find it
+    _R1 = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+    _B = np.array([[0.975, 1.0167], [-0.0486, 0.975]])
+
+    @pytest.mark.parametrize("triplet, depth, status, route", [
+        (_cpp_triplet(2, np.zeros((2, 2))), 6, "unknown", "search"),
+        (_cpp_triplet(2, [[0.0, -1.0], [1.0, 0.0]]), 6, "unknown", "search"),
+        (_cpp_triplet(2, [[0.0, -1.0], [1.0, 0.0]]), 2, "unknown", "search"),
+        (_cpp_triplet(2, np.zeros((2, 2)), lf.JumpSpec(
+            rate=1.0, atoms=((0.5, _R1 - np.eye(2)), (0.5, _B - np.eye(2))))), 3,
+         "certified", "cpp_semigroup"),
+    ], ids=["no_generators", "rotations_random_words", "rotations_depth_2",
+            "random_word_witness"])
+    def test_search_route(self, triplet, depth, status, route):
+        cert = lf.ip_certify(triplet, search_depth=depth, seed=0)
+        assert (cert.status, cert.route) == (status, route)
+        if cert.witness is not None:
+            word = cert.witness["word"]
+            assert len(word) >= 3  # past the breadth-first words of length <= 2
+            prod = np.eye(2)
+            for k in word:
+                prod = prod @ cert.witness["generators"][k]
+            assert lf.is_proximal(prod)
+
+    def test_no_word_search_without_a_density_pattern(self, monkeypatch):
+        """d = 3 has no rotation-density pattern, so no proximal word could
+        certify: the search is not run and the result is unknown."""
+        def no_search(*args, **kwargs):
+            raise AssertionError("the word search ran")
+
+        rng = np.random.default_rng(3)
+        atoms = tuple((0.5, rng.normal(0.0, 0.5, (3, 3))) for _ in range(2))
+        trip = _cpp_triplet(3, np.zeros((3, 3)), lf.JumpSpec(rate=1.0, atoms=atoms))
+        monkeypatch.setattr(geometry, "_proximal_word", no_search)
+        cert = lf.ip_certify(trip, seed=0)
+        assert (cert.status, cert.route) == ("unknown", "search")
+
     @pytest.mark.parametrize("n_samples", [-3, 0, 7])
     def test_too_few_samples_raise(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):

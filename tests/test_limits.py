@@ -13,6 +13,7 @@ import pytest
 from scipy.linalg import logm
 
 import levyflow as lf
+from levyflow import _engine
 from levyflow.cli import _gauss_bump
 from levyflow.limits import _terminal_log_samples
 
@@ -248,6 +249,35 @@ OVERFLOW2 = lf.MatrixLevyTriplet(d=2, sigma=np.eye(4), gamma=800.0 * np.eye(2))
         "contraction", "mean_check", "generator_mc_check"])
 def test_non_finite_engine_output_raises_degenerate_norm(call):
     with pytest.raises(lf.DegenerateNorm, match="not finite"):
+        call()
+
+
+@pytest.mark.parametrize("F", [lf.FunctionalSpec.entry(0, 1),
+                               lf.FunctionalSpec.abs_inner([1.0, 0.0], [0.0, 1.0])],
+                         ids=["entry", "abs_inner"])
+def test_vanished_overlap_raises_degenerate_norm(F):
+    """diagonal_reducible keeps X_t diagonal, so X_t^(0,1) = <e1 X_t, e2> is
+    exactly 0 and has no logarithm: DegenerateNorm, not a clamped log."""
+    with pytest.raises(lf.DegenerateNorm, match="is 0 or not finite"):
+        lf.clt_diagnostic(lf.builtin_triplet("diagonal_reducible"), F, T=5.0,
+                          n_paths=50, seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lf.generator_mc_check(SB2, _gauss_bump(np.eye(2), 1.0), np.eye(2), [1e-2], 1, 0),
+    lambda: lf.mixing_rate(SB2, lf.HolderFn(eval=lambda p: p.v[0] ** 2), np.eye(2),
+                           [0.5, 1.0], 1, 0),
+    lambda: lf.mean_check(SB2, 1.0, 1, 0),
+], ids=["generator_mc_check", "mixing_rate", "mean_check"])
+def test_one_path_has_no_spread(call, monkeypatch):
+    """The estimators that report a Monte Carlo spread outside ``limits``
+    keep its two-path floor too: one path raises before any engine run,
+    where it gave se = z = nan, or d_hat = inf unflagged."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(_engine, "_evolve", no_run)
+    with pytest.raises(ValueError, match="two or more paths, got 1"):
         call()
 
 

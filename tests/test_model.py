@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import levyflow as lf
+from levyflow import _engine
 
 
 class TestBuiltinCatalog:
@@ -73,6 +74,57 @@ class TestRowCovariance:
         assert trip.row_covariance is None
 
 
+def _jump_triplet(rate, *atoms) -> lf.MatrixLevyTriplet:
+    """d = 2, no Gaussian part or drift, and the given (prob, atom) pairs."""
+    return lf.MatrixLevyTriplet(d=2, sigma=np.zeros((4, 4)), gamma=np.zeros((2, 2)),
+                                jumps=lf.JumpSpec(rate=rate, atoms=atoms))
+
+
+class TestEntryCovariance:
+    """sigma read in matrix indices: [m, j, n, l] = sigma[j*d+m, l*d+n]."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_layout_is_the_vec_convention(self, d):
+        g = np.random.default_rng(d).standard_normal((d * d, d * d))
+        trip = lf.MatrixLevyTriplet(d=d, sigma=g @ g.T, gamma=np.zeros((d, d)))
+        cov = trip.entry_covariance
+        assert cov.shape == (d, d, d, d) and np.shares_memory(cov, trip.sigma)
+        for m, j, n, l in np.ndindex(d, d, d, d):
+            assert cov[m, j, n, l] == trip.sigma[j * d + m, l * d + n]
+        with pytest.raises(ValueError):
+            cov[0, 0, 0, 0] = 1.0
+        # the Brownian factor reproduces it: sum_r G[m, j, r] G[n, l, r]
+        G = trip.brownian_factor
+        np.testing.assert_allclose(np.einsum("mjr,nlr->mjnl", G, G), cov,
+                                   rtol=0, atol=1e-12 * np.abs(cov).max())
+
+    def test_sl2_conservative_reads_its_trace_free_part(self):
+        # dB = [[W1, W2], [W3, -W1]]: cov(B^(0,0), B^(1,1)) = -1
+        cov = lf.builtin_triplet("sl2_conservative").entry_covariance
+        assert cov[0, 0, 1, 1] == -1.0 and cov[0, 1, 0, 1] == 1.0
+        assert cov[1, 0, 1, 0] == 1.0 and cov[0, 1, 1, 0] == 0.0
+
+
+def test_atom_law_is_one_read_only_array():
+    """probs = rates / rates.sum(): the law the engine draws atoms by."""
+    trip = lf.builtin_triplet("diagonal_reducible")
+    np.testing.assert_array_equal(trip.probs, trip.rates / trip.rates.sum())
+    assert _engine._StepScheme(trip, 0.1).probs is trip.probs
+    with pytest.raises(ValueError):
+        trip.probs[0] = 1.0
+
+
+def test_one_cutoff_for_an_atom_and_a_stack():
+    """small_jump gives an atom of ||vec a|| next to 1 the same answer alone
+    and in the triplet's stack; np.linalg.norm(a) <= 1, the flattened sum,
+    and the stacked norm round this atom to opposite sides of 1."""
+    shape = np.array([[0.4, -0.9, 1.0], [0.9, 0.1, 0.5], [0.1, -0.7, -0.1]])
+    a = shape / np.linalg.norm(shape)
+    trip = lf.MatrixLevyTriplet(d=3, sigma=np.zeros((9, 9)), gamma=np.zeros((3, 3)),
+                                jumps=lf.JumpSpec(rate=1.0, atoms=((1.0, a),)))
+    assert lf.small_jump(a) == lf.small_jump(a[None])[0] == trip.compensated[0]
+
+
 class TestValidate:
     def test_asymmetric_sigma(self):
         sigma = np.zeros((4, 4))
@@ -109,6 +161,27 @@ class TestValidate:
                                     gamma=0.2 * np.eye(2),
                                     drift0=np.zeros((2, 2)), jumps=jumps)
         assert lf.validate(good).valid
+
+    @pytest.mark.parametrize("rule, triplet, index", [
+        ("dimension", lf.MatrixLevyTriplet(d=0, sigma=np.zeros((0, 0)),
+                                           gamma=np.zeros((0, 0))), None),
+        ("rate-nonnegative", _jump_triplet(-1.0, (1.0, 0.5 * np.eye(2))), None),
+        ("jump-atom-shape", _jump_triplet(1.0, (1.0, 0.5 * np.eye(3))), 0),
+        ("jump-prob-positive", _jump_triplet(1.0, (1.0, 0.5 * np.eye(2)),
+                                             (0.0, -0.5 * np.eye(2))), 1),
+        ("jump-atom-nonzero", _jump_triplet(1.0, (1.0, np.zeros((2, 2)))), 0),
+        ("jump-atoms-distinct", _jump_triplet(1.0, (0.5, 0.5 * np.eye(2)),
+                                              (0.5, 0.5 * np.eye(2))), 1),
+    ], ids=["dimension", "rate-nonnegative", "jump-atom-shape", "jump-prob-positive",
+            "jump-atom-nonzero", "jump-atoms-distinct"])
+    def test_structural_rule(self, rule, triplet, index):
+        """Each rule names its violation, and the atom rules the atom; a
+        triplet with d = 0 reports only its dimension."""
+        rep = lf.validate(triplet)
+        assert not rep.valid
+        assert (rule, index) in [(r, i) for r, _, i in rep.violations]
+        if rule == "dimension":
+            assert rep.rules() == {"dimension"}
 
     def test_big_atoms_are_not_compensated(self):
         # Frobenius norm 3 > 1: no compensation, so gamma = drift0

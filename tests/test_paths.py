@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 import levyflow as lf
 from levyflow import _engine
-from levyflow._linalg import OffGrid, grid_indices, line_fit
+from levyflow._linalg import OffGrid, grid_indices, line_fit, step_grid
 
 ROT = lf.builtin_triplet("rotation_rank1")
 SB2 = lf.builtin_triplet("standard_brownian(2)")
@@ -440,6 +440,40 @@ def test_off_grid_time_raises_off_grid(times):
     assert issubclass(OffGrid, ValueError)
     with pytest.raises(OffGrid, match="not a grid point"):
         grid_indices(np.arange(3) * 0.5, times)
+
+
+@pytest.mark.parametrize("T, dt, n", [(1.0, 0.3, 3), (1.0, 0.4, 2), (256.16, 0.01, 25616),
+                                      (2.0, 2.0 / 49, 49)])
+def test_sampler_cells_are_the_engine_steps(T, dt, n, monkeypatch):
+    """The path sampler and the engine split (T, dt) by one rule,
+    ``step_grid``: a jump-free path has as many cells as the engine takes
+    steps, on the same grid points.  T = 256.16, dt = 0.01 is 25616 steps of
+    dt, not 25617."""
+    gbm = lf.builtin_triplet("gbm1(0.1, 0.2)")
+    path = lf.sample_levy_path(gbm, T, dt, seed=0)
+    steps = []
+    cont_factors = _engine._StepScheme.cont_factors
+
+    def counted(scheme, z, n_paths):
+        steps.append(scheme.dt)
+        return cont_factors(scheme, z, n_paths)
+
+    monkeypatch.setattr(_engine._StepScheme, "cont_factors", counted)
+    times, _, _ = _engine.evolve_matrices(gbm, T, 1, 0, path.grid, dt)
+    assert len(path.grid) - 1 == len(steps) == n
+    np.testing.assert_array_equal(times, path.grid)
+    np.testing.assert_array_equal(path.grid, step_grid(T, dt))
+    assert path.grid[-1] == T and steps[0] == T / n
+
+
+def test_step_grid_rule():
+    """n = max(1, round(T / dt)) steps of T / n, the last point exactly T."""
+    for T, dt, n in [(1.0, 0.25, 4), (1.0, 0.3, 3), (0.3, 0.5, 1), (1.0, 2.0, 1),
+                     (2.0, 0.75, 3)]:
+        grid = step_grid(T, dt)
+        assert len(grid) == n + 1 and grid[0] == 0.0 and grid[-1] == T
+        assert grid[1] == T / n
+        np.testing.assert_array_equal(grid[:-1], np.arange(n) * (T / n))
 
 
 class TestLineFit:

@@ -29,7 +29,7 @@ def _generator_per_atom(triplet, f, x):
     ell = x @ triplet.gamma
     for r, a in _atom_rates(triplet):
         xa = x @ a
-        ell = ell + r * xa * (float(np.linalg.norm(xa) <= 1.0) - float(np.linalg.norm(a) <= 1.0))
+        ell = ell + r * xa * (float(np.linalg.norm(xa) <= 1.0) - float(lf.small_jump(a)))
     total = float(np.einsum("ij,ij->", ell, g))
     scale = float(np.einsum("ij,ij->", np.abs(ell), np.abs(g)))
     if triplet.has_gaussian_part():
@@ -71,8 +71,23 @@ def _cases(draw):
     return triplet, bump, x
 
 
+# d = 3 and one atom drawn as _cases draws it at size exactly 1.0: the
+# flattened norm np.linalg.norm(a) rounds ||vec a|| to 1, the stacked norm of
+# the triplet's marks to 1 + ulp, so an oracle that evaluated the cutoff
+# itself would disagree with the package on whether gamma compensates it
+_UNIT_SHAPE = np.array([[0.4, -0.9, 1.0], [0.9, 0.1, 0.5], [0.1, -0.7, -0.1]])
+_UNIT_ATOM_CASE = (
+    lf.MatrixLevyTriplet(d=3, sigma=0.3 * np.eye(9),
+                         gamma=np.array([[0.2, -0.5, 0.1], [0.0, 0.3, 0.7], [-0.4, 0.6, 0.0]]),
+                         jumps=lf.JumpSpec(rate=2.0, atoms=(
+                             (1.0, 1.0 * _UNIT_SHAPE / np.linalg.norm(_UNIT_SHAPE)),))),
+    _gauss_bump(np.zeros((3, 3)), 1.0),
+    np.array([[0.5, -1.0, 0.2], [0.3, 0.8, -0.4], [1.2, 0.0, 0.6]]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(_cases())
+@example(_UNIT_ATOM_CASE)
 def test_generator_apply_matches_per_atom_sum(case):
     triplet, bump, x = case
     want, scale = _generator_per_atom(triplet, bump, x)
@@ -90,6 +105,7 @@ _SINGULAR_ATOM_CASE = (
 @settings(max_examples=50, deadline=None)
 @given(_cases())
 @example(_SINGULAR_ATOM_CASE)
+@example(_UNIT_ATOM_CASE)
 def test_atom_reductions_match_per_atom_loops(case):
     """jump_compensator, mean_l1, the log-determinant triplet and the SL(d)
     jump condition, each against one loop over the atoms.  An atom with
@@ -106,7 +122,7 @@ def test_atom_reductions_match_per_atom_loops(case):
     scale = 1.0 + abs(base)
     unimodular, singular = True, False
     for r, a in pairs:
-        small = np.linalg.norm(a) <= 1.0
+        small = lf.small_jump(a)
         if small:
             comp = comp + r * a
         jump_mean = jump_mean + r * a
