@@ -18,9 +18,8 @@ E[D (I + dB)] = D and the noise is independent of the jumps, so E[X_t] is
 exact too.  D is the forward stack of the same pair at r = 1 (the pair is
 built with or without jumps), so it is bit for bit the exponential of a jump
 at offset 0.
-A run on [0, T] takes the steps of ``_linalg.step_grid(T, dt)``, the one
-step grid that the path sampler reads too, so dt there is T / n for a whole
-number n of steps.
+A run on [0, T] takes the steps of ``_linalg.step_grid(T, dt)``, called
+before any draw, so dt there is T / n for a whole number n of steps.
 D is folded once into the triplet's Brownian factor G, which gives dB = G @ z
 for standard normals z: with G'[m, j] = sum_k D[m, k] G[k, j],
 F = D + G' @ z.  Inside the step loop the state is paths-last: m rows
@@ -44,7 +43,9 @@ state's Frobenius norm, or nothing with renormalize=False.  The log-scale is
 accumulated separately, so long-horizon norm statistics are exact at
 snapshot times and never overflow.
 
-A run draws from its own generators.  Its normals (d^2 per path-step, or d
+A run draws from its own generators.  A seed is an int, a sequence of ints or
+a SeedSequence, which is never advanced: ``child_seeds`` is the package's one
+rule for a seed's child streams.  A run's normals (d^2 per path-step, or d
 in the short draw) are the one stream of default_rng(seed), and nothing else
 draws from it: the step loop in _evolve takes each step's normals from
 _step_normals and hands them to cont_factors, which draws nothing.  K =
@@ -54,17 +55,16 @@ loop steps through the current one; a step larger than BLOCK or a run of at
 most one block draws inline.  BLOCK = 2^17 doubles holds a step of 2 * 10^4
 paths of d^2 = 4 normals each (the rows of a path share them), the size of a
 mixing run's step, so those steps are drawn ahead too.  Its jumps come from
-four more streams, the children (JUMP_KEY, i) of the seed's SeedSequence,
-derived with a fixed spawn key so that a SeedSequence seed is left as it
-was.  They are planned a block of steps at a time (in about BLOCK doubles of
-memory): each step's total from the count stream, then per jump a path, an
-offset and an atom, each from its own stream; a sort by (step, path, offset)
-gives each jump its round, and one elementwise pass builds all of the
-block's factors.  Each stream is read in step order, and a factor depends
-on its own jump only, so no result depends on the block sizes or on thread
-timing: only one normal draw runs at a time and the blocks are taken in
-order.  The worker is joined before the run returns or raises.  Results are
-deterministic given the seed, independent of BLAS threading.
+four more streams, child_seeds(seed, 4, (JUMP_KEY,)), planned a block of
+steps at a time (in about BLOCK doubles of memory): each step's total from
+the count stream, then per jump a path, an offset and an atom, each from its
+own stream; a sort by (step, path, offset) gives each jump its round, and
+one elementwise pass builds all of the block's factors.  Each stream is read
+in step order, and a factor depends on its own jump only, so no result
+depends on the block sizes or on thread timing: only one normal draw runs at
+a time and the blocks are taken in order.  The worker is joined before the
+run returns or raises.  Results are deterministic given the seed,
+independent of BLAS threading.
 """
 from __future__ import annotations
 
@@ -241,15 +241,18 @@ class _StepScheme:
         return next(planned) if self.jump_rate else []
 
 
-def _jump_streams(seed):
-    """The run's four jump generators, of counts, paths, offsets and atoms:
-    children (JUMP_KEY, i) of the seed's SeedSequence, derived with a fixed
-    spawn key.  SeedSequence.spawn would advance the seed object's counter,
-    so one SeedSequence passed to two runs would give two different runs."""
+def child_seeds(seed, k: int, key: tuple = ()) -> list:
+    """The k children (*spawn_key, *key, i) of the seed's SeedSequence; for
+    an int seed and no key, those of SeedSequence(seed).spawn(k).  Unlike
+    spawn, it never advances a SeedSequence seed, so reusing one is safe."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(np.random.SeedSequence(
-        seq.entropy, spawn_key=(*seq.spawn_key, JUMP_KEY, i), pool_size=seq.pool_size))
-        for i in range(4)]
+    return [np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, *key, i),
+                                   pool_size=seq.pool_size) for i in range(k)]
+
+
+def _jump_streams(seed):
+    """The run's four jump generators, of counts, paths, offsets and atoms."""
+    return [np.random.default_rng(s) for s in child_seeds(seed, 4, (JUMP_KEY,))]
 
 
 def _rowvec_product(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -305,13 +308,12 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
     summed for the norm divided out each step: (1,) one per row, (0, 1) one
     Frobenius norm per path, None for none.  Callers keep no name for
     ``states``, so that taking the paths-last copy frees the start buffer.
-    A snapshot that is not finite raises DegenerateNorm; T <= 0, dt <= 0 or
-    no paths raise ValueError.
+    A snapshot that is not finite raises DegenerateNorm; a (T, dt) that
+    ``step_grid`` refuses raises InvalidStep, and no paths ValueError.
     """
-    if not (T > 0 and dt > 0 and len(states) >= 1):
-        raise ValueError(f"need T > 0, dt > 0 and n_paths >= 1, got T={T}, dt={dt}, "
-                         f"n_paths={len(states)}")
     grid = step_grid(T, dt)
+    if len(states) < 1:
+        raise ValueError(f"need T > 0, dt > 0 and n_paths >= 1, got T={T}, dt={dt}, n_paths=0")
     n_steps = len(grid) - 1
     times, by_step = _snapshot_indices(snapshot_times, grid)
     scheme = _StepScheme(triplet, grid[1], single_row=states.shape[1] == 1)

@@ -7,7 +7,8 @@ L^(n,l) at position (j*d+m, l*d+n).
 
 ``step_grid`` is the package's one rule for splitting a horizon T into steps
 of about dt, read by the engine, the path sampler and the invariant-measure
-skeleton; ``grid_indices`` is its one map from times to grid indices.
+skeleton, and its one check of (T, dt), made before a run's first draw;
+``grid_indices`` is its one map from times to grid indices.
 
 ``expm_pair_last`` is the package's one matrix exponential: the engine's
 drift factor and jump rounds, the exact walker's cell factors, the target of
@@ -22,9 +23,13 @@ import math
 import numpy as np
 
 __all__ = [
-    "psd_factor", "OffGrid", "step_grid", "grid_indices", "line_fit", "expm_pair_last",
-    "matmul_last",
+    "psd_factor", "InvalidStep", "OffGrid", "step_grid", "grid_indices", "line_fit",
+    "expm_pair_last", "matmul_last",
 ]
+
+
+class InvalidStep(ValueError):
+    """A horizon T and step dt that are not finite with 0 < dt <= T."""
 
 
 class OffGrid(ValueError):
@@ -45,10 +50,13 @@ def psd_factor(sigma: np.ndarray) -> np.ndarray:
 
 def step_grid(T: float, dt: float) -> np.ndarray:
     """The step grid of a horizon T at step about dt: the package's one rule
-    for splitting (T, dt) into steps.  It has n = max(1, round(T / dt))
-    steps, points k * (T / n) with the last set to T, so grid[1] is the step
-    T / n and a T that is n steps of dt gives n steps, not n + 1."""
-    n = max(1, int(round(T / dt)))
+    for splitting (T, dt) into steps.  It has n = round(T / dt) steps,
+    points k * (T / n) with the last set to T, so grid[1] is the step T / n
+    and a T that is n steps of dt gives n steps, not n + 1.  T and dt must
+    be finite with 0 < dt <= T (so n >= 1), else ``InvalidStep``."""
+    if not (math.isfinite(T) and math.isfinite(dt) and 0.0 < dt <= T):
+        raise InvalidStep(f"need T > 0 and 0 < dt <= T, both finite, got T={T}, dt={dt}")
+    n = int(round(T / dt))
     grid = np.arange(n + 1) * (T / n)
     grid[-1] = T
     return grid

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from ._csvfmt import format_rows
-from ._engine import DEFAULT_DT
-from ._linalg import OffGrid
+from ._engine import DEFAULT_DT, child_seeds
+from ._linalg import InvalidStep, OffGrid
 from .geometry import SmoothFunction, generator_mc_check, ip_certify
 from .levy_model import (MatrixLevyTriplet, builtin_triplet, triplet_from_config,
                          triplet_to_config, validate)
@@ -238,17 +238,17 @@ def _gauss_bump(center: np.ndarray, width: float) -> SmoothFunction:
     return SmoothFunction(value=value, grad=grad, hess=hess)
 
 
-def _entry_header(d: int, prefix: str = "X") -> list[str]:
-    return [f"{prefix}{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-
-
 # -- experiment implementations (each returns (summary, header, rows)) ---------
 
+def _horizon(params: dict, default=DEFAULT_DT):
+    """(T, dt): parameters.dt > 0 (``default`` when absent) and T >= dt."""
+    dt = _param(params, "dt", float, default=default, above=0.0)
+    return _param(params, "T", float, least=dt), dt
+
+
 def _levy_path(triplet, params, seed):
-    """(T, path): parameters.dt > 0 and T >= dt, and the path of L they and
-    the seed draw."""
-    dt = _param(params, "dt", float, above=0.0)
-    T = _param(params, "T", float, least=dt)
+    """(T, path): a required dt, T >= dt and the path of L they draw."""
+    T, dt = _horizon(params, _MISSING)
     return T, sample_levy_path(triplet, T, dt, seed)
 
 
@@ -270,7 +270,8 @@ def _run_simulate(triplet, params, seed):
         "T": T, "n_grid": len(ep.grid), "method": ep.method,
         "final_det": float(np.linalg.det(ep.X[-1])),
     }
-    return summary, ["t", *_entry_header(triplet.d)], rows
+    d = triplet.d
+    return summary, ["t", *(f"X{i + 1}{j + 1}" for i in range(d) for j in range(d))], rows
 
 
 def _run_determinant(triplet, params, seed):
@@ -304,18 +305,16 @@ def _horizons(params: dict) -> list:
 
 
 def _run_lyapunov(triplet, params, seed):
-    T = _param(params, "T", float, above=0.0)
+    T, dt = _horizon(params)
     n_paths = _param(params, "n_paths", int, least=2)
-    dt = _param(params, "dt", float, default=DEFAULT_DT, above=0.0)
     F = _functional(params, triplet.d, ("op_norm", "vector_norm"))
     lam, se = lyapunov_estimate(triplet, F, T, n_paths, seed, dt=dt)
     return _one_row({"lambda_hat": lam, "lambda_se": se, "T": T, "n_paths": n_paths})
 
 
 def _run_clt(triplet, params, seed):
-    T = _param(params, "T", float, above=0.0)
+    T, dt = _horizon(params)
     n_paths = _param(params, "n_paths", int, least=2)
-    dt = _param(params, "dt", float, default=DEFAULT_DT, above=0.0)
     F = _functional(params, triplet.d)
     return _one_row(asdict(clt_diagnostic(triplet, F, T, n_paths, seed, dt=dt)))
 
@@ -332,7 +331,7 @@ def _run_berry_esseen(triplet, params, seed):
     try:
         rep = berry_esseen_curve(triplet, F, t_grid, n_paths, z_grid=z_grid,
                                  seed=seed, dt=dt)
-    except OffGrid as exc:
+    except (OffGrid, InvalidStep) as exc:
         raise ConfigError("parameters.t_grid", str(exc)) from None
     rows = np.array(rep.rows, dtype=float)
     summary = {"slope": rep.slope, "intercept": rep.intercept,
@@ -346,6 +345,8 @@ def _run_invariant_measure(triplet, params, seed):
     n_steps = _param(params, "n_steps", int, least=burn_in + 1)
     n_chains = _param(params, "n_chains", int, least=1)
     dt = _param(params, "dt", float, default=None, above=0.0)
+    if dt is not None and dt > h:
+        raise ConfigError("parameters.dt", f"expected a number <= h = {h}, got {dt}")
     measure = estimate_invariant_measure(triplet, h, n_steps, burn_in, n_chains,
                                          seed, dt=dt)
     d = triplet.d
@@ -366,7 +367,7 @@ def _run_mixing(triplet, params, seed):
     d = triplet.d
     n_starts = _param(params, "n_starts", int, default=6, least=d)
     f = _holder_fn(params, d)
-    s_starts, s_engine = np.random.SeedSequence(seed).spawn(2)
+    s_starts, s_engine = child_seeds(seed, 2)
     starts = list(np.eye(d))
     rng = np.random.default_rng(s_starts)
     while len(starts) < n_starts:
@@ -374,7 +375,7 @@ def _run_mixing(triplet, params, seed):
         starts.append(g / np.linalg.norm(g))
     try:
         rep = mixing_rate(triplet, f, starts, t_grid, n_paths, s_engine, dt=dt)
-    except OffGrid as exc:
+    except (OffGrid, InvalidStep) as exc:
         raise ConfigError("parameters.t_grid", str(exc)) from None
     rows = np.column_stack([rep.t_grid, rep.sup_diffs])
     summary = {"D_hat": rep.D_hat, "d_hat": rep.d_hat, "r2": rep.r2,

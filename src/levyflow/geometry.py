@@ -110,7 +110,7 @@ def _generators(triplet: MatrixLevyTriplet, n_samples: int, rng):
     return gens
 
 
-def _proximal_word(gens, search_depth: int, n_samples: int, rng, tol: float = 1e-9):
+def _proximal_word(gens, search_depth: int, n_samples: int, rng):
     """Breadth-first over short words, then random longer words; returns the
     first (word index tuple, product) whose product is proximal."""
     mats = [m for _, m in gens]
@@ -121,7 +121,7 @@ def _proximal_word(gens, search_depth: int, n_samples: int, rng, tol: float = 1e
             for i, m in enumerate(mats):
                 w = word + (i,)
                 p = prod @ m
-                if is_proximal(p, tol):
+                if is_proximal(p):
                     return w, p
                 nxt.append((w, p))
         frontier = nxt
@@ -131,18 +131,18 @@ def _proximal_word(gens, search_depth: int, n_samples: int, rng, tol: float = 1e
         p = np.eye(mats[0].shape[0])
         for k in word:
             p = p @ mats[k]
-        if is_proximal(p, tol):
+        if is_proximal(p):
             return word, p
     return None
 
 
-def _real_eigvecs(a: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
+def _real_eigvecs(a: np.ndarray) -> list[np.ndarray]:
     vals, vecs = np.linalg.eig(a)
     out = []
     for k, lam in enumerate(vals):
-        if abs(lam.imag) <= tol * max(1.0, abs(lam)):
+        if abs(lam.imag) <= 1e-9 * max(1.0, abs(lam)):
             v = vecs[:, k]
-            if np.max(np.abs(v.imag)) <= tol * max(1.0, float(np.max(np.abs(v)))):
+            if np.max(np.abs(v.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(v)))):
                 out.append(canonical_unit(v.real))
     return out
 
@@ -212,12 +212,12 @@ def _rotation_angle(g: np.ndarray) -> float | None:
     return math.atan2(g[1, 0], g[0, 0])
 
 
-def _irrationalish(phi: float, q_max: int = 64, tol: float = 1e-3) -> bool:
-    """No multiple q*phi (q <= q_max) returns to within tol of a full turn."""
+def _irrationalish(phi: float) -> bool:
+    """No multiple q*phi (q <= 64) returns to within 1e-3 of a full turn."""
     two_pi = 2.0 * math.pi
-    for q in range(1, q_max + 1):
+    for q in range(1, 65):
         r = (q * phi) % two_pi
-        if min(r, two_pi - r) <= tol:
+        if min(r, two_pi - r) <= 1e-3:
             return False
     return True
 
@@ -362,7 +362,7 @@ def generator_mc_check(triplet: MatrixLevyTriplet, f: SmoothFunction,
     a_val = generator_apply(triplet, f, x)
     fx = f.value(x)
     h_grid = [float(h) for h in h_grid]
-    children = np.random.SeedSequence(seed).spawn(len(h_grid))
+    children = _engine.child_seeds(seed, len(h_grid))
     rows = []
     for h, child in zip(h_grid, children):
         _, mats, _ = _engine.evolve_matrices(

@@ -4,12 +4,13 @@ A path of the driving process L is a grid of times, the continuous (drift +
 Brownian) increment per cell, and time-sorted jumps whose marks it stacks once,
 refusing those that ``singular_step`` calls singular.  Jump times are grid
 points: the sampler merges them into ``_linalg.step_grid``, the uniform grid
-whose steps the engine takes too, and hand-built paths must do the same.  The
-exponential walkers form one time-ordered product: each cell's factor, then at
-a grid point carrying jumps their exact factors (I + mark) in list order;
-``auto_exponential`` picks the walker.  The exact walker's cell factors and the
-mean check's target are the forward stack of ``_linalg.expm_pair_last``, the
-package's one matrix exponential, which is elementwise: a cell's factor
+whose steps the engine takes too and whose ``InvalidStep`` this module
+re-exports, and hand-built paths must do the same.  The exponential walkers
+form one time-ordered product: each cell's factor, then at a grid point
+carrying jumps their exact factors (I + mark) in list order;
+``auto_exponential`` picks the walker.  The exact walker's cell factors and
+the mean check's target are the forward stack of ``_linalg.expm_pair_last``,
+the package's one matrix exponential, which is elementwise: a cell's factor
 depends on its own length and the longest cell's, not on how many cells the
 path has.
 """
@@ -22,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import _engine
-from ._linalg import expm_pair_last, grid_indices, step_grid
+from ._linalg import InvalidStep, expm_pair_last, grid_indices, step_grid
 from .levy_model import DET_TOL, MatrixLevyTriplet, SingularJump, singular_step
 
 __all__ = [
@@ -32,10 +33,6 @@ __all__ = [
     "auto_exponential", "skorokhod_reconstruct", "stochastic_logarithm", "mean_check",
     "coarsen_path",
 ]
-
-
-class InvalidStep(ValueError):
-    """Step size is nonpositive or exceeds the horizon."""
 
 
 class HasGaussianPart(ValueError):
@@ -217,12 +214,10 @@ def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> L
     merged with the (Poisson) jump times, so jumps sit exactly on grid
     points.  Brownian increments per cell have covariance (cell length) *
     sigma on vec coordinates and the drift adds (cell length) * gamma^0.
-    Deterministic given ``seed`` (an integer or a numpy SeedSequence).
+    Deterministic given ``seed``, read as the engine reads it; a (T, dt)
+    that ``step_grid`` refuses raises ``InvalidStep`` before any draw.
     """
-    if dt <= 0 or T <= 0:
-        raise InvalidStep(f"need 0 < dt <= T, got dt={dt}, T={T}")
-    if dt > T:
-        raise InvalidStep(f"need dt <= T, got dt={dt} > T={T}")
+    uniform = step_grid(T, dt)
     rng = np.random.default_rng(seed)
     d = triplet.d
 
@@ -234,7 +229,7 @@ def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> L
         kinds = rng.choice(len(triplet.probs), size=n_jumps, p=triplet.probs)
         jumps = tuple(zip(jump_times.tolist(), triplet.marks[kinds]))
 
-    grid = np.unique(np.concatenate([step_grid(T, dt), jump_times]))
+    grid = np.unique(np.concatenate([uniform, jump_times]))
 
     lens = np.diff(grid)
     inc = lens[:, None, None] * triplet.drift()
@@ -366,10 +361,8 @@ def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> Mean
     the mean exact at any step, so sigma = 0 takes one step of length t (the
     samples are then exact products); otherwise steps of t/256 keep the
     samples' spread, which sets the standard errors, close to that of X_t.
-    t <= 0 or fewer than two paths raise ValueError.
+    Fewer than two paths raise ValueError; t <= 0 or not finite, InvalidStep.
     """
-    if t <= 0:
-        raise ValueError(f"need t > 0, got {t}")
     _engine.need_two_paths(n_paths)
     dt = t / 256.0 if triplet.has_gaussian_part() else t
     samples = _engine.evolve_matrices(triplet, t, n_paths, seed, [t], dt,

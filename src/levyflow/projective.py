@@ -192,24 +192,20 @@ def estimate_invariant_measure(triplet: MatrixLevyTriplet, h: float,
 
     Chains start from the rotation-invariant measure; each skeleton step is
     simulated with the substeps of ``step_grid(h, dt)`` (default dt =
-    min(h, _engine.DEFAULT_DT)).  Weights are uniform over the pooled states, which are
-    serially correlated along each chain — thin before applying tests that
-    assume independent samples.
+    min(h, _engine.DEFAULT_DT)), which refuses an (h, dt) before any draw.
+    Weights are uniform over the pooled states, which are serially
+    correlated along each chain — thin before applying tests that assume
+    independent samples.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if dt is not None and dt <= 0:
-        raise ValueError("dt must be positive")
     if not 0 <= burn_in < n_steps:
         raise ValueError("need 0 <= burn_in < n_steps")
-    dt = min(h, _engine.DEFAULT_DT) if dt is None else dt
-    s_start, s_engine = np.random.SeedSequence(seed).spawn(2)
+    substep = step_grid(h, min(h, _engine.DEFAULT_DT) if dt is None else dt)[1]
+    s_start, s_engine = _engine.child_seeds(seed, 2)
     starts = _uniform_starts(triplet.d, n_chains, np.random.default_rng(s_start))
 
     snap_times = np.arange(burn_in + 1, n_steps + 1) * h
     _, dirs, _ = _engine.evolve_vectors(
-        triplet, starts[:, None, :], n_steps * h, n_chains, s_engine,
-        snap_times, dt=step_grid(h, dt)[1])
+        triplet, starts[:, None, :], n_steps * h, n_chains, s_engine, snap_times, dt=substep)
     points = canonical_unit(dirs[:, :, 0, :].reshape(-1, triplet.d).T).T
     weights = np.full(len(points), 1.0 / len(points))
     meta = {
@@ -244,7 +240,7 @@ def contraction_estimate(triplet: MatrixLevyTriplet, n: int, gamma: float,
     ``contracting`` describe the simulated chain, not a certified bound."""
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
-    s_pairs, s_engine = np.random.SeedSequence(seed).spawn(2)
+    s_pairs, s_engine = _engine.child_seeds(seed, 2)
     pairs = _pair_grid(triplet.d, n_pairs, np.random.default_rng(s_pairs))
     flat = pairs.reshape(-1, triplet.d)
     _, dirs, _ = _engine.evolve_vectors(

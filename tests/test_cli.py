@@ -387,6 +387,25 @@ class TestMain:
         ("mixing", {"t_grid": [0.5, 1.0], "n_paths": 200, "n_starts": 1},
          "parameters.n_starts"),
         ("ip_certify", {"n_samples": -3}, "parameters.n_samples"),
+        ("lyapunov", {"T": 1.0, "n_paths": 10, "dt": 2.0}, "parameters.T"),
+        ("clt", {"T": 1.0, "n_paths": 10, "dt": 2.0}, "parameters.T"),
+        ("clt", {"T": 0.01, "n_paths": 10}, "parameters.T"),
+        ("invariant_measure", {"h": 0.1, "n_steps": 30, "burn_in": 10,
+                               "n_chains": 4, "dt": 0.5}, "parameters.dt"),
+        ("mixing", {"t_grid": [0.5, 1.0], "n_paths": 10, "dt": 2.0}, "parameters.t_grid"),
+        ("berry_esseen", {"t_grid": [1.0, 2.0], "n_paths": 10, "dt": 3.0},
+         "parameters.t_grid"),
+        ("lyapunov", {"n_paths": 10}, "parameters.T"),
+        ("lyapunov", {"T": 1.0, "n_paths": 10, "F": {"kind": "vector_norm", "y": ["a", "b"]}},
+         "parameters.F.y"),
+        ("clt", {"T": 1.0, "n_paths": 10, "F": [1.0, 0.0]}, "parameters.F"),
+        ("clt", {"T": 1.0, "n_paths": 10, "F": {"y": [1.0, 0.0]}}, "parameters.F"),
+        ("clt", {"T": 1.0, "n_paths": 10, "F": {"kind": "abs_inner", "y": [1.0, 0.0]}},
+         "parameters.F.z"),
+        ("mixing", {"t_grid": [0.5, 1.0], "n_paths": 10, "f": {"kind": "sine"}},
+         "parameters.f"),
+        ("berry_esseen", {"t_grid": [1.0, 2.0], "n_paths": 10, "z_grid": []},
+         "parameters.z_grid"),
     ], ids=["generator_check_x", "invariant_measure_dt", "vector_norm_y",
             "entry_index", "entry_fractional_index", "abs_inner_z", "mixing_zero_u",
             "lyapunov_no_paths", "mixing_one_path", "clt_one_path", "lyapunov_zero_dt",
@@ -395,7 +414,11 @@ class TestMain:
             "clt_nan_T", "ip_certify_search_depth", "berry_esseen_one_horizon",
             "berry_esseen_repeated_horizon", "mixing_repeated_horizon",
             "mixing_off_grid_horizon", "berry_esseen_off_grid_horizon",
-            "mixing_n_starts_below_d", "ip_certify_n_samples"])
+            "mixing_n_starts_below_d", "ip_certify_n_samples", "lyapunov_dt_above_T",
+            "clt_dt_above_T", "clt_T_below_default_dt", "invariant_measure_dt_above_h",
+            "mixing_dt_above_horizons", "berry_esseen_dt_above_horizons", "lyapunov_no_T",
+            "vector_norm_non_numeric_y", "F_not_an_object", "F_without_kind",
+            "abs_inner_without_z", "mixing_f_kind", "berry_esseen_empty_z_grid"])
     def test_bad_parameter_exit_two_names_key(self, tmp_path, capsys, experiment,
                                               parameters, key):
         doc = {"triplet": "standard_brownian(2)", "experiment": experiment,
@@ -500,14 +523,54 @@ class TestReport:
          ' "wall_clock_s": 1.0, "summary": {}, "files": 3}', ": files"),
         ('{"scenario_hash": "x", "version": "1", "experiment": "simulate", "seed": 1,'
          ' "wall_clock_s": 1.0, "summary": [], "files": []}', ": summary"),
+        ('{"scenario_hash": "x", "version": "1", "experiment": "simulate", "seed": 1,'
+         ' "wall_clock_s": 1.0, "summary": {}, "files": [1]}', ": files"),
     ], ids=["missing_key", "json_list", "missing_file", "invalid_json", "non_numeric_seed",
-            "files_not_a_list", "summary_not_an_object"])
+            "files_not_a_list", "summary_not_an_object", "file_name_not_a_string"])
     def test_bad_manifest_exit_two(self, tmp_path, capsys, text, named):
         path = tmp_path / "manifest.json"
         if text is not None:
             path.write_text(text)
         assert cli.main(["report", str(path)]) == 2
         assert named in capsys.readouterr().err
+
+
+class TestRarelyTakenRoutes:
+    @pytest.mark.parametrize("triplet", ["rotation_rank1", "diagonal_reducible"])
+    def test_exact_method_writes_the_auto_bytes(self, tmp_path, triplet):
+        """On a triplet with sigma = 0, method auto is the exact product."""
+        csvs = []
+        for method in ("exact", "auto"):
+            man = cli.run_scenario(_simulate_config(tmp_path, triplet=triplet, method=method,
+                                                    T=5.0, dt=0.1),
+                                   out_dir=tmp_path / method)
+            assert man.summary["method"] == "exact_cpp"
+            csvs.append((tmp_path / method / "simulate.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_z_grid_is_the_library_curve(self, tmp_path):
+        doc = {"triplet": "gbm1(0.1, 0.2)", "experiment": "berry_esseen",
+               "parameters": {"t_grid": [1.0, 2.0], "n_paths": 50, "seed": 3,
+                              "z_grid": [-1.0, 0.0, 1.0]},
+               "output_dir": str(tmp_path / "be")}
+        cli.run_scenario(_write_config(tmp_path, doc))
+        rows = np.loadtxt(tmp_path / "be" / "berry_esseen.csv", delimiter=",", skiprows=1)
+        rep = lf.berry_esseen_curve(lf.builtin_triplet("gbm1(0.1, 0.2)"),
+                                    lf.FunctionalSpec.vector_norm([1.0]), [1.0, 2.0], 50,
+                                    z_grid=[-1.0, 0.0, 1.0], seed=3)
+        np.testing.assert_array_equal(rows, np.array(rep.rows))
+
+    def test_moved_output_dir_falls_back_to_the_manifest_dir(self, tmp_path):
+        cli.run_scenario(_simulate_config(tmp_path))
+        moved = (tmp_path / "out").rename(tmp_path / "moved")
+        man = cli.load_manifest(moved / "manifest.json")
+        assert man.output_dir == str(moved)
+
+    def test_report_without_out_writes_stdout(self, tmp_path, capsys):
+        cli.run_scenario(_simulate_config(tmp_path))
+        path = tmp_path / "out" / "manifest.json"
+        assert cli.main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == cli.emit_report([cli.load_manifest(path)])
 
 
 class TestWalkerChoice:

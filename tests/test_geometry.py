@@ -33,6 +33,15 @@ class TestIsProximal:
         assert not lf.is_proximal(np.diag([2.0, -2.0, 1.0]))
         assert not lf.is_proximal(np.eye(2))
 
+    @pytest.mark.parametrize("a, proximal", [
+        (np.zeros((2, 2)), False), ([[0.0, 1.0], [0.0, 0.0]], False),
+        ([[0.0]], False), ([[2.0]], True), ([[-0.5]], True),
+    ], ids=["zero", "nilpotent", "d1_zero", "d1_positive", "d1_negative"])
+    def test_zero_spectrum_and_scalars(self, a, proximal):
+        """A spectrum of zeros has no dominant eigenvalue; a nonzero 1 x 1
+        matrix is proximal."""
+        assert lf.is_proximal(np.array(a)) is proximal
+
     def test_rotation_is_not_proximal(self):
         c, s = np.cos(0.7), np.sin(0.7)
         assert not lf.is_proximal(np.array([[c, -s], [s, c]]))

@@ -281,6 +281,30 @@ def test_one_path_has_no_spread(call, monkeypatch):
         call()
 
 
+_HAND_PATH = lf.ExpPath(grid=np.array([0.0, 1.0]), X=np.array([np.eye(2), 2.0 * np.eye(2)]),
+                       method="hand")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: lf.berry_esseen_curve(GBM, OP, [1.0, 2.0], 10, seed=0), ValueError,
+     "defined for vector_norm"),
+    (lambda: lf.berry_esseen_curve(GBM, E1, [1.0, 2.0], 10, seed=0,
+                                   phi=lf.HolderFn(eval=lambda p: 1.0)),
+     lf.RequiresInvariantMeasure, "supply measure"),
+    (lambda: lf.m_statistics(_HAND_PATH, [[1.0, 0.0], [0.0, 0.0]]), ValueError,
+     "zero vector"),
+    (lambda: lf.FunctionalSpec.entry(-1, 0), ValueError, "nonnegative"),
+    (lambda: lf.FunctionalSpec.entry(0, 2).vectors(2), ValueError, "out of range"),
+    (lambda: lf.FunctionalSpec.op_norm().vectors(2), ValueError, r"no \(y, z\) form"),
+], ids=["berry_esseen_op_norm", "berry_esseen_phi_without_measure", "m_statistics_zero_probe",
+        "negative_entry_index", "entry_out_of_range", "op_norm_vectors"])
+def test_refusal(call, error, message):
+    """Refusals of the Berry-Esseen curve, the M-statistics and the
+    functional spec, each raised before any engine run."""
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMStatistics:
     def test_rotations_have_unit_m(self):
         gamma = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -51,6 +51,38 @@ class TestBuiltinCatalog:
         assert trip.has_gaussian_part()
 
 
+_ZERO_2 = {"d": 2, "sigma": [0.0] * 16, "gamma": [0.0] * 4}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: lf.builtin_triplet("rotation rank1"), lf.UnknownName, "cannot parse"),
+    (lambda: lf.builtin_triplet("gbm1(0.1, x)"), lf.UnknownName, "bad arguments"),
+    (lambda: lf.builtin_triplet("standard_brownian(0)"), lf.UnknownName, "positive integer"),
+    (lambda: lf.triplet_from_config({"d": 2, "gamma": [0.0] * 4}), ValueError,
+     "missing key 'sigma'"),
+    (lambda: lf.triplet_from_config({**_ZERO_2, "sigma": [0.0] * 4}), ValueError,
+     "'sigma' must list 16 numbers"),
+    (lambda: lf.triplet_from_config({"d": 2, "sigma": [0.0] * 16}), ValueError,
+     "missing key 'gamma'"),
+    (lambda: lf.triplet_from_config({**_ZERO_2, "gamma": [0.0] * 3}), ValueError,
+     "'gamma' must list 4 numbers"),
+    (lambda: lf.triplet_from_config(
+        {**_ZERO_2, "jumps": {"rate": 1.0, "atoms": [{"prob": 1.0, "matrix": [0.5]}]}}),
+     ValueError, r"jumps\.atoms\[0\]\.matrix must list 4 numbers"),
+    (lambda: lf.moment_check(lf.builtin_triplet("rotation_rank1"), 0.0), ValueError,
+     "epsilon must be positive"),
+    (lambda: lf.moment_check(lf.builtin_triplet("rotation_rank1"), -1.0), ValueError,
+     "epsilon must be positive"),
+], ids=["unparsable_name", "non_numeric_argument", "zero_dimension", "no_sigma",
+        "sigma_size", "no_gamma", "gamma_size", "atom_matrix_size", "zero_epsilon",
+        "negative_epsilon"])
+def test_refusal(call, error, message):
+    """The catalog, the config reader and the moment check refuse a bad
+    input with a message naming what is wrong."""
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestRowCovariance:
     @pytest.mark.parametrize("name, c", [("standard_brownian(3)", np.eye(3)),
                                          ("gbm1(0.1, 0.2)", [[0.2 ** 2]]),

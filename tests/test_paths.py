@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 import levyflow as lf
-from levyflow import _engine
+from levyflow import _engine, _linalg
 from levyflow._linalg import OffGrid, grid_indices, line_fit, step_grid
 
 ROT = lf.builtin_triplet("rotation_rank1")
@@ -112,6 +112,22 @@ class TestSampling:
                 arr[...] = 0.0
         with pytest.raises(ValueError, match="shape"):
             lf.LevyPath(grid=grid, increments=inc, jumps=((0.5, np.ones(d * d + 1)),))
+
+
+@pytest.mark.parametrize("path", [
+    lf.sample_levy_path(ROT, 3.0, 0.25, 1),
+    lf.sample_levy_path(ROT, 3.0, 0.25, 4),
+    lf.LevyPath(grid=[0.0, 0.5, 1.0], increments=np.full((2, 2, 2), 0.1),
+                jumps=((0.5, 0.5 * np.eye(2)), (0.5, np.ones((2, 2))), (1.0, -0.25 * np.eye(2)))),
+], ids=["sampled_1", "sampled_4", "two_jumps_at_one_time"])
+def test_levy_values_add_each_jump_from_its_time(path):
+    """L at grid point k is the increments of the first k cells plus every
+    mark whose time is at most t_k (cadlag)."""
+    assert path.jumps
+    want = [path.increments[:k].sum(axis=0) + sum((a for t, a in path.jumps if t <= tk),
+                                                  np.zeros((2, 2)))
+            for k, tk in enumerate(path.grid)]
+    np.testing.assert_allclose(path.levy_values(), want, rtol=0, atol=1e-12)
 
 
 class TestCoarsen:
@@ -467,13 +483,44 @@ def test_sampler_cells_are_the_engine_steps(T, dt, n, monkeypatch):
 
 
 def test_step_grid_rule():
-    """n = max(1, round(T / dt)) steps of T / n, the last point exactly T."""
-    for T, dt, n in [(1.0, 0.25, 4), (1.0, 0.3, 3), (0.3, 0.5, 1), (1.0, 2.0, 1),
+    """n = round(T / dt) steps of T / n, the last point exactly T; a dt above
+    T has no whole step and raises InvalidStep."""
+    for T, dt, n in [(1.0, 0.25, 4), (1.0, 0.3, 3), (0.3, 0.5, None), (1.0, 2.0, None),
                      (2.0, 0.75, 3)]:
+        if n is None:
+            with pytest.raises(lf.InvalidStep, match="need T > 0"):
+                step_grid(T, dt)
+            continue
         grid = step_grid(T, dt)
         assert len(grid) == n + 1 and grid[0] == 0.0 and grid[-1] == T
         assert grid[1] == T / n
         np.testing.assert_array_equal(grid[:-1], np.arange(n) * (T / n))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: lf.sample_levy_path(SB2, 1.0, 2.0, 0),
+    lambda: _engine.evolve_matrices(SB2, 1.0, 5, 0, [1.0], 2.0),
+    lambda: _engine.evolve_vectors(SB2, [1.0, 0.0], 1.0, 5, 0, [1.0], 2.0),
+    lambda: lf.lyapunov_estimate(lf.builtin_triplet("gbm1(0.1, 0.2)"),
+                                 lf.FunctionalSpec.op_norm(), T=1.0, n_paths=10, seed=0, dt=2.0),
+    lambda: lf.estimate_invariant_measure(SB2, 0.1, 30, 10, 4, 0, dt=0.5),
+    lambda: lf.estimate_invariant_measure(SB2, float("nan"), 30, 10, 4, 0),
+    lambda: lf.mean_check(SB2, 0.0, 10, 0),
+    lambda: lf.mean_check(SB2, float("inf"), 10, 0),
+], ids=["sample_levy_path", "evolve_matrices", "evolve_vectors", "lyapunov_estimate",
+        "invariant_measure_dt_above_h", "invariant_measure_nan_h", "mean_check_zero_t",
+        "mean_check_inf_t"])
+def test_runs_refuse_their_step_before_any_draw(run, monkeypatch):
+    """Every run checks its (T, dt) through step_grid before it makes a
+    generator: a dt above T, or a T that is not finite and positive, raises
+    InvalidStep, the one class that levyflow and _linalg export."""
+    def no_draw(*args):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(lf.InvalidStep, match="need T > 0"):
+        run()
+    assert lf.InvalidStep is _linalg.InvalidStep is lf.path_sampler.InvalidStep
 
 
 class TestLineFit:

@@ -172,7 +172,7 @@ class TestInvariantMeasure:
 
     @pytest.mark.parametrize("dt", [0.0, -3.0])
     def test_nonpositive_dt_rejected(self, dt):
-        with pytest.raises(ValueError, match="dt must be positive"):
+        with pytest.raises(ValueError, match="need T > 0"):
             lf.estimate_invariant_measure(SB2, h=0.2, n_steps=30, burn_in=10,
                                           n_chains=4, seed=3, dt=dt)
 

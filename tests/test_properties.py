@@ -1,9 +1,12 @@
 """Property tests: the batched generator and the triplet's atom arrays
 against their per-atom definitions, the batched engine against a per-path
-product loop, and the path walkers, log-determinant series, reconstruction
-and stochastic logarithm against direct products."""
+product loop, the path walkers, log-determinant series, reconstruction
+and stochastic logarithm against direct products, and every seeded entry
+point's reading of a SeedSequence seed."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -475,3 +478,64 @@ def test_logarithm_inverts_emery_exponential(case):
     np.testing.assert_array_equal(back.jump_index, noise.jump_index)
     np.testing.assert_allclose(back.increments, noise.increments, rtol=0, atol=1e-10)
     np.testing.assert_allclose(back.marks, noise.marks, rtol=0, atol=1e-10)
+
+
+# Gaussian part (row-isotropic, so one-row runs take the short draw) and two
+# jump atoms: each run below reads both its normal stream and its jump streams
+_SEEDED = lf.MatrixLevyTriplet(
+    d=2, sigma=0.5 * np.eye(4), gamma=[[0.1, -0.6], [0.6, 0.0]],
+    jumps=lf.JumpSpec(rate=3.0, atoms=((0.25, np.array([[0.0, 0.5], [0.0, 0.0]])),
+                                       (0.75, np.array([[-0.3, 0.0], [0.2, 0.1]])))))
+_E1 = lf.FunctionalSpec.vector_norm([1.0, 0.0])
+_SEEDED_RUNS = {
+    "sample_levy_path": lambda s: lf.sample_levy_path(_SEEDED, 1.0, 0.1, s),
+    "evolve_vectors": lambda s: _engine.evolve_vectors(
+        _SEEDED, np.eye(2), 1.0, 10, s, [0.5, 1.0], 0.1),
+    "evolve_matrices": lambda s: _engine.evolve_matrices(_SEEDED, 1.0, 10, s, [0.5, 1.0], 0.1),
+    "lyapunov_estimate": lambda s: lf.lyapunov_estimate(
+        _SEEDED, lf.FunctionalSpec.op_norm(), 1.0, 10, s, dt=0.1),
+    "clt_diagnostic": lambda s: lf.clt_diagnostic(_SEEDED, _E1, 1.0, 10, s, dt=0.1),
+    "lambda_moment_function": lambda s: lf.lambda_moment_function(
+        _SEEDED, [-1.0, 1.0], 1.0, 10, s, dt=0.1),
+    "berry_esseen_curve": lambda s: lf.berry_esseen_curve(
+        _SEEDED, _E1, [0.5, 1.0], 10, seed=s, dt=0.1),
+    "estimate_invariant_measure": lambda s: lf.estimate_invariant_measure(
+        _SEEDED, 0.2, 5, 1, 4, s),
+    "contraction_estimate": lambda s: lf.contraction_estimate(_SEEDED, 1, 0.5, 4, 10, s),
+    "mixing_rate": lambda s: lf.mixing_rate(
+        _SEEDED, lf.HolderFn(eval=lambda p: p.v[0] ** 2), np.eye(2), [0.5, 1.0], 10, s),
+    "generator_mc_check": lambda s: lf.generator_mc_check(
+        _SEEDED, _gauss_bump(np.eye(2), 1.0), np.eye(2), [0.1, 0.2], 10, s),
+    "mean_check": lambda s: lf.mean_check(_SEEDED, 0.5, 10, s),
+    "ip_certify": lambda s: lf.ip_certify(lf.builtin_triplet("rotation_rank1"), seed=s),
+}
+
+
+def _result_bytes(x) -> bytes:
+    """The bytes of a result: arrays by value, containers and dataclass
+    fields in order; a measure's ``meta``, which records the seed object
+    itself, is left out."""
+    if dataclasses.is_dataclass(x):
+        return _result_bytes([getattr(x, f.name) for f in dataclasses.fields(x)
+                              if f.name != "meta"])
+    if isinstance(x, dict):
+        return _result_bytes(list(x.items()))
+    if isinstance(x, (tuple, list)):
+        return b"(" + b",".join(_result_bytes(v) for v in x) + b")"
+    if isinstance(x, np.ndarray):
+        return repr((x.dtype, x.shape)).encode() + x.tobytes()
+    return repr(x).encode()
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED_RUNS))
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1))
+def test_seed_sequence_seed_is_its_int(name, s):
+    """A SeedSequence(s) seed gives the bytes of the int seed s and is never
+    advanced, so the same object passed again gives the same bytes."""
+    run = _SEEDED_RUNS[name]
+    want = _result_bytes(run(s))
+    seq = np.random.SeedSequence(s)
+    assert _result_bytes(run(seq)) == want
+    assert seq.n_children_spawned == 0
+    assert _result_bytes(run(seq)) == want
