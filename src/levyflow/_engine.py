@@ -74,7 +74,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._linalg import expm_pair_last, grid_indices, matmul_last, psd_factor, step_grid
+from ._linalg import expm_pair_last, grid_indices, matmul_last, psd_factor, step_grid, unit_vectors
 from .levy_model import MatrixLevyTriplet, refuse_singular_atoms
 
 
@@ -306,14 +306,14 @@ def _evolve(triplet, T, seed, snapshot_times, dt, states, logs, norm):
     vectors (a matrix is its d rows) and their accumulated log-scales, of
     shape (n_paths, m) or (n_paths,).  ``norm`` holds the paths-last axes
     summed for the norm divided out each step: (1,) one per row, (0, 1) one
-    Frobenius norm per path, None for none.  Callers keep no name for
-    ``states``, so that taking the paths-last copy frees the start buffer.
+    Frobenius norm per path, None for none.  ``evolve_matrices`` keeps no
+    name for ``states``, so that taking the paths-last copy frees it.
     A snapshot that is not finite raises DegenerateNorm; a (T, dt) that
     ``step_grid`` refuses raises InvalidStep, and no paths ValueError.
     """
     grid = step_grid(T, dt)
     if len(states) < 1:
-        raise ValueError(f"need T > 0, dt > 0 and n_paths >= 1, got T={T}, dt={dt}, n_paths=0")
+        raise ValueError("need n_paths >= 1, got 0")
     n_steps = len(grid) - 1
     times, by_step = _snapshot_indices(snapshot_times, grid)
     scheme = _StepScheme(triplet, grid[1], single_row=states.shape[1] == 1)
@@ -361,23 +361,16 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     (n_paths, m, d) array gives each path its own start vectors instead.
     Returns (times, dirs, logs) with dirs of shape (k, n_paths, m, d) holding
     unit vectors and logs of shape (k, n_paths, m) holding log ||y @ X_t||.
-    A start row whose norm is zero or not finite raises ValueError.
+    A start row that is not a direction (``_linalg.unit_vectors``) raises
+    ValueError.
     """
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim == 1:
-        starts = starts[None, :]
-    if starts.ndim == 2:
+    starts, norms = unit_vectors(np.atleast_2d(starts))
+    if starts.ndim == 2:  # shared rows: scaled once, then broadcast to every path
         starts = np.broadcast_to(starts, (n_paths,) + starts.shape)
+        norms = np.broadcast_to(norms, starts.shape[:2])
     if starts.shape[0] != n_paths:
         raise ValueError("per-path starts must have leading dimension n_paths")
-    v = starts.astype(float)
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.einsum("pmi,pmi->pm", v, v))
-    del v  # only the unit rows below stay alive during the loop
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
-        raise ValueError("start rows need a finite, nonzero norm")
-    return _evolve(triplet, T, seed, snapshot_times, dt, starts / norms[..., None],
-                   np.log(norms), (1,))
+    return _evolve(triplet, T, seed, snapshot_times, dt, starts, np.log(norms), (1,))
 
 
 def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,

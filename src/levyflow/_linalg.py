@@ -10,6 +10,9 @@ of about dt, read by the engine, the path sampler and the invariant-measure
 skeleton, and its one check of (T, dt), made before a run's first draw;
 ``grid_indices`` is its one map from times to grid indices.
 
+``unit_vectors`` is the package's one rule for a direction: every start row,
+functional vector, probe and projective point is checked and scaled by it.
+
 ``expm_pair_last`` is the package's one matrix exponential: the engine's
 drift factor and jump rounds, the exact walker's cell factors, the target of
 ``mean_check`` and the drift generators of ``geometry`` all come from it, so
@@ -24,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "psd_factor", "InvalidStep", "OffGrid", "step_grid", "grid_indices", "line_fit",
-    "expm_pair_last", "matmul_last",
+    "unit_vectors", "expm_pair_last", "matmul_last",
 ]
 
 
@@ -53,9 +56,10 @@ def step_grid(T: float, dt: float) -> np.ndarray:
     for splitting (T, dt) into steps.  It has n = round(T / dt) steps,
     points k * (T / n) with the last set to T, so grid[1] is the step T / n
     and a T that is n steps of dt gives n steps, not n + 1.  T and dt must
-    be finite with 0 < dt <= T (so n >= 1), else ``InvalidStep``."""
-    if not (math.isfinite(T) and math.isfinite(dt) and 0.0 < dt <= T):
-        raise InvalidStep(f"need T > 0 and 0 < dt <= T, both finite, got T={T}, dt={dt}")
+    be finite with 0 < dt <= T (so n >= 1) and a finite T / dt, else
+    ``InvalidStep``."""
+    if not (math.isfinite(T) and 0.0 < dt <= T and math.isfinite(float(T) / float(dt))):
+        raise InvalidStep(f"need T > 0 and 0 < dt <= T with T / dt finite, got T={T}, dt={dt}")
     n = int(round(T / dt))
     grid = np.arange(n + 1) * (T / n)
     grid[-1] = T
@@ -78,6 +82,30 @@ def grid_indices(grid: np.ndarray, times) -> np.ndarray:
     if off.any():
         raise OffGrid(f"time {times[off][0]} is not a grid point")
     return k
+
+
+def unit_vectors(v, axis: int = -1):
+    """(v / |v|, |v|) for the vectors along ``axis`` of v: the package's one
+    rule for a direction.  A vector with a non-finite entry, or no nonzero
+    entry, raises ValueError.  |v|^2 is summed coordinate by coordinate, so a
+    vector rounds the same in any batch; where that sum overflows or is not
+    a normal number, it is taken again on v times the power of two that
+    brings its largest entry into [1/2, 1).  That scaling is exact, so v 2^k
+    has bit for bit the unit vector of v; |v| is inf only beyond the range."""
+    coords = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+    with np.errstate(over="ignore", under="ignore"):
+        s = sum(x * x for x in coords)
+        scale = None
+        ok = (s >= np.finfo(float).tiny) & (s < np.inf)  # False for NaN
+        if not np.all(ok):
+            if not np.all(np.isfinite(coords).all(axis=0) & (coords != 0.0).any(axis=0)):
+                raise ValueError("a direction needs finite entries, not all zero")
+            scale = np.where(ok, 0, -np.frexp(np.abs(coords).max(axis=0))[1])
+            coords = np.ldexp(coords, scale)
+            s = sum(x * x for x in coords)
+        norms = np.sqrt(s)
+        unit = np.moveaxis(coords / norms, 0, axis)
+        return unit, norms if scale is None else np.ldexp(norms, -scale)
 
 
 def line_fit(x, y) -> tuple[float, float, float]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._csvfmt import format_rows
 from ._engine import DEFAULT_DT, child_seeds
-from ._linalg import InvalidStep, OffGrid
+from ._linalg import InvalidStep, OffGrid, unit_vectors
 from .geometry import SmoothFunction, generator_mc_check, ip_certify
 from .levy_model import (MatrixLevyTriplet, builtin_triplet, triplet_from_config,
                          triplet_to_config, validate)
@@ -164,14 +164,15 @@ def _param(params: dict, key: str, kind, default=_MISSING, least=None, above=Non
 
 
 def _direction(raw, where: str, d: int) -> np.ndarray:
-    """A length-d vector of finite nonzero norm, else a ConfigError at ``where``."""
+    """The unit vector of a length-d direction (``unit_vectors``), else a
+    ConfigError at ``where``."""
     try:
         v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.shape != (d,) or not 0.0 < np.linalg.norm(v) < np.inf:
-        raise ConfigError(where, f"expected a nonzero finite vector of length {d}")
-    return v
+        if v.shape != (d,):
+            raise ValueError(f"expected a vector of {d} numbers")
+        return unit_vectors(v)[0]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(where, str(exc)) from None
 
 
 def _index(raw, where: str, d: int) -> int:
@@ -182,8 +183,8 @@ def _index(raw, where: str, d: int) -> int:
 
 
 def _functional(params: dict, d: int, kinds=_F_KINDS) -> FunctionalSpec:
-    """The F spec, op_norm when absent; its kind must be one of ``kinds`` and
-    its vectors and indices must fit d."""
+    """The F spec, op_norm when absent; its kind must be one of ``kinds``, its
+    indices must fit d, and its y and z are ``_direction``'s unit vectors."""
     spec = params.get("F")
     if spec is None:
         spec = {"kind": "op_norm"}
@@ -197,12 +198,12 @@ def _functional(params: dict, d: int, kinds=_F_KINDS) -> FunctionalSpec:
         if kind == "op_norm":
             return FunctionalSpec.op_norm()
         if kind == "vector_norm":
-            return FunctionalSpec.vector_norm(_direction(spec["y"], "parameters.F.y", d))
+            return FunctionalSpec(kind, y=_direction(spec["y"], "parameters.F.y", d))
         if kind == "entry":
             return FunctionalSpec.entry(_index(spec["i"], "parameters.F.i", d),
                                         _index(spec["j"], "parameters.F.j", d))
-        return FunctionalSpec.abs_inner(_direction(spec["y"], "parameters.F.y", d),
-                                        _direction(spec["z"], "parameters.F.z", d))
+        return FunctionalSpec(kind, y=_direction(spec["y"], "parameters.F.y", d),
+                              z=_direction(spec["z"], "parameters.F.z", d))
     except KeyError as exc:
         raise ConfigError(f"parameters.F.{exc.args[0]}", "missing key") from None
 
@@ -212,7 +213,6 @@ def _holder_fn(params: dict, d: int) -> HolderFn:
     if not isinstance(spec, dict) or spec.get("kind") != "coord_sq":
         raise ConfigError("parameters.f", "supported kind: coord_sq (optional 'u' vector)")
     u = _direction(spec.get("u", np.eye(d)[0]), "parameters.f.u", d)
-    u = u / np.linalg.norm(u)
     return HolderFn(eval=lambda p: (u @ p.v) ** 2, gamma=1.0)
 
 
@@ -627,7 +627,7 @@ def main(argv=None) -> int:
         print(f"{manifest.experiment}: wrote {', '.join(manifest.files)} and "
               f"manifest.json to {manifest.output_dir} ({scalars})")
         return 0
-    except (ConfigError, ValidationError, MixedKinds) as exc:
+    except (ConfigError, ValidationError, MixedKinds, InvalidStep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, MemoryError) as exc:

@@ -54,14 +54,11 @@ def _s2(triplet: MatrixLevyTriplet) -> float:
 def check_characteristics(triplet: MatrixLevyTriplet) -> CheckTriplet:
     """Characteristic triplet and mean of log|D| from the driving triplet."""
     refuse_singular_atoms(triplet)
-    d = triplet.d
-    r, marks = triplet.rates, triplet.marks
-    v = np.linalg.slogdet(np.eye(d) + marks)[1]
-    # compensated part of each atom: trace a_i for ||vec a_i|| <= 1
-    comp = np.trace(marks, axis1=1, axis2=2) * triplet.compensated
-    base = float(np.trace(triplet.gamma)) - 0.5 * _s2(triplet)
-    gamma_d = base + float(r @ (v * (np.abs(v) <= 1.0) - comp))
-    mean = base + float(r @ (v - comp))
+    r = triplet.rates
+    v = np.linalg.slogdet(np.eye(triplet.d) + triplet.marks)[1]
+    base = float(np.trace(triplet.drift())) - 0.5 * _s2(triplet)
+    gamma_d = base + float(r @ (v * (np.abs(v) <= 1.0)))
+    mean = base + float(r @ v)
     nu = tuple((float(ri), float(vi)) for ri, vi in zip(r, v) if vi != 0.0)
     return CheckTriplet(sigma_D=_sigma_d(triplet), gamma_D=gamma_d, nu_D=nu,
                         mean=mean)

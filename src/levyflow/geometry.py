@@ -324,8 +324,7 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
                     x: np.ndarray) -> float:
     """A_X f(x): drift/diffusion terms plus the exact jump atom sum.
 
-    First-order coefficient ell(x) = x gamma_L - sum_i r_i x a_i
-    1{||a_i||_F <= 1}, the drift with the small atoms' compensation;
+    First-order coefficient ell(x) = x gamma^0, the triplet's ``drift()``;
     diffusion Q(x)^{(i,j,k,l)} = sum_{m,n} x^{(i,m)} C[m, j, n, l] x^{(k,n)}
     with C the triplet's ``entry_covariance``; jumps add sum_i r_i (f(x +
     x a_i) - f(x)).  The atoms are one (k, d, d) stack, so f.value is called
@@ -335,17 +334,14 @@ def generator_apply(triplet: MatrixLevyTriplet, f: SmoothFunction,
     _spot_check_derivatives(f, x)
     g = np.asarray(f.grad(x), dtype=float)
 
-    rates, marks = triplet.rates, triplet.marks
-    xa = x @ marks
-    ell = x @ triplet.gamma - np.einsum("k,kij->ij", rates * triplet.compensated, xa)
-    total = float(np.einsum("ij,ij->", ell, g))
+    total = float(np.einsum("ij,ij->", x @ triplet.drift(), g))
 
     if triplet.has_gaussian_part():
         hess = np.asarray(f.hess(x), dtype=float)
         q = np.einsum("im,mjnl,kn->ijkl", x, triplet.entry_covariance, x)
         total += 0.5 * float(np.einsum("ijkl,ijkl->", q, hess))
 
-    return total + float(rates @ (f.value(x + xa) - f.value(x)))
+    return total + float(triplet.rates @ (f.value(x + x @ triplet.marks) - f.value(x)))
 
 
 def generator_mc_check(triplet: MatrixLevyTriplet, f: SmoothFunction,

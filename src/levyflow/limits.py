@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _engine
 from ._engine import DegenerateNorm, need_two_paths
-from ._linalg import line_fit
+from ._linalg import line_fit, unit_vectors
 from .levy_model import MatrixLevyTriplet
 from .path_sampler import ExpPath
 from .projective import EmpiricalMeasure, HolderFn, _eval_lines
@@ -30,20 +30,13 @@ class RequiresInvariantMeasure(ValueError):
     """The joint Berry-Esseen statistic needs an invariant-measure estimate."""
 
 
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("zero vector is not a direction")
-    return v / n
-
-
 @dataclass(frozen=True, eq=False)
 class FunctionalSpec:
     """Which scalar functional of X_t a limit theorem refers to.
 
     Kinds: ``op_norm`` F(a) = ||a||; ``vector_norm`` F(a) = ||y a||;
     ``entry`` F(a) = |a_{ij}| (0-based); ``abs_inner`` F(a) = |<y a, z>|.
+    y and z are stored as unit vectors (``_linalg.unit_vectors``).
     """
 
     kind: str
@@ -58,7 +51,7 @@ class FunctionalSpec:
 
     @classmethod
     def vector_norm(cls, y) -> "FunctionalSpec":
-        return cls(kind="vector_norm", y=_unit(y))
+        return cls(kind="vector_norm", y=unit_vectors(y)[0])
 
     @classmethod
     def entry(cls, i: int, j: int) -> "FunctionalSpec":
@@ -68,7 +61,7 @@ class FunctionalSpec:
 
     @classmethod
     def abs_inner(cls, y, z) -> "FunctionalSpec":
-        return cls(kind="abs_inner", y=_unit(y), z=_unit(z))
+        return cls(kind="abs_inner", y=unit_vectors(y)[0], z=unit_vectors(z)[0])
 
     def vectors(self, d: int) -> tuple[np.ndarray, np.ndarray | None]:
         """The (y, z) pair with F(a) = |<y a, z>|, or F(a) = ||y a|| where z
@@ -293,17 +286,14 @@ def berry_esseen_curve(triplet: MatrixLevyTriplet, F: FunctionalSpec, t_grid,
 
 def m_statistics(exp_path: ExpPath, probes):
     """M(X_t) = max(||X_t||, ||X_t^{-1}||) per grid point, and the count of
-    probe violations of |log ||y X_t|| | <= log M(X_t) (expected 0)."""
+    violations of |log ||y X_t|| | <= log M(X_t) (expected 0) by probe directions y."""
     X = exp_path.X
     sv_x = np.linalg.svd(X, compute_uv=False)[:, 0]
     sv_xi = np.linalg.svd(exp_path.Xinv, compute_uv=False)[:, 0]
     m_series = np.maximum(sv_x, sv_xi)
 
-    ys = np.asarray(probes, dtype=float).reshape(-1, X.shape[1])
-    scale = np.linalg.norm(ys, axis=1, keepdims=True)
-    if np.any(scale == 0.0):
-        raise ValueError("zero vector is not a direction")
-    norms = np.linalg.norm(np.einsum("pi,tij->ptj", ys / scale, X), axis=2)
+    ys = unit_vectors(np.asarray(probes, dtype=float).reshape(-1, X.shape[1]))[0]
+    norms = np.linalg.norm(np.einsum("pi,tij->ptj", ys, X), axis=2)
     if np.any(norms == 0.0):
         raise DegenerateNorm("||y X_t|| vanished on the path")
     return m_series, int(np.sum(np.abs(np.log(norms)) > np.log(m_series) + 1e-9))

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import _engine
-from ._linalg import line_fit, step_grid
+from ._linalg import line_fit, step_grid, unit_vectors
 from .levy_model import MatrixLevyTriplet
 from .path_sampler import ExpPath
 
@@ -30,16 +30,11 @@ _SIGN_TOL = 1e-12
 
 
 def canonical_unit(v) -> np.ndarray:
-    """Unit representative with its first coordinate of modulus > 1e-12 made
-    positive; idempotent, and identical for v and -v.  A (d, n) array is n
-    vectors along its second axis, each canonicalized exactly as if alone."""
+    """Unit representative (``unit_vectors``) with its first coordinate of
+    modulus > 1e-12 made positive; idempotent, and identical for v and -v.
+    A (d, n) array is n vectors along its second axis, each as if alone."""
     v = np.asarray(v, dtype=float)
-    cols = v.reshape(len(v), -1)
-    # summed coordinate by coordinate, so a column rounds the same in any batch
-    norms = np.sqrt(sum(x * x for x in cols))
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
-        raise ValueError("cannot project the zero (or non-finite) vector")
-    u = cols / norms
+    u = unit_vectors(v.reshape(len(v), -1), axis=0)[0]
     big = np.abs(u) > _SIGN_TOL
     lead = np.take_along_axis(u, np.argmax(big, axis=0)[None], axis=0)[0]
     return np.where(lead < 0, -u, u).reshape(v.shape)

@@ -333,6 +333,15 @@ class TestMain:
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
         assert "parameters.method" in capsys.readouterr().err
 
+    def test_overflowing_step_count_exits_two(self, tmp_path, capsys):
+        """A dt so small that T / dt overflows is a config error, refused by
+        the step rule (InvalidStep) before any draw."""
+        doc = {"triplet": "gbm1(0.1, 0.2)", "experiment": "lyapunov",
+               "parameters": {"seed": 1, "T": 1.0, "dt": 5e-324, "n_paths": 10},
+               "output_dir": str(tmp_path / "o")}
+        assert cli.main(["lyapunov", "--config", str(_write_config(tmp_path, doc))]) == 2
+        assert "T / dt finite" in capsys.readouterr().err
+
     def test_memory_error_exit_three(self, tmp_path, capsys, monkeypatch):
         """A run too large for memory is a numerical failure: an error line
         and exit 3, not a traceback with exit 1.  The runner is patched to

@@ -396,9 +396,10 @@ def test_vectors_and_matrices_give_the_same_states(triplet):
                                              (1.0, 5, -0.1)],
                          ids=["zero_T", "negative_T", "no_paths", "zero_dt", "negative_dt"])
 def test_out_of_range_runs_raise(T, n_paths, dt):
+    message = "need n_paths >= 1, got 0" if n_paths == 0 else "need T > 0"
     for run in (lambda: _engine.evolve_vectors(MIXED, [1.0, 0.0], T, n_paths, 0, [0.0], dt),
                 lambda: _engine.evolve_matrices(MIXED, T, n_paths, 0, [0.0], dt)):
-        with pytest.raises(ValueError, match="need T > 0"):
+        with pytest.raises(ValueError, match=message):
             run()
 
 
@@ -664,6 +665,6 @@ def test_degenerate_start_rows_raise_before_any_step(monkeypatch, starts):
     monkeypatch.setattr(_engine, "_evolve", no_step)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="start rows"):
+        with pytest.raises(ValueError, match="a direction needs finite entries"):
             _engine.evolve_vectors(lf.builtin_triplet("standard_brownian(2)"), starts, 1.0, 5,
                                    1, [1.0])

@@ -292,7 +292,7 @@ _HAND_PATH = lf.ExpPath(grid=np.array([0.0, 1.0]), X=np.array([np.eye(2), 2.0 * 
                                    phi=lf.HolderFn(eval=lambda p: 1.0)),
      lf.RequiresInvariantMeasure, "supply measure"),
     (lambda: lf.m_statistics(_HAND_PATH, [[1.0, 0.0], [0.0, 0.0]]), ValueError,
-     "zero vector"),
+     "a direction needs finite entries"),
     (lambda: lf.FunctionalSpec.entry(-1, 0), ValueError, "nonnegative"),
     (lambda: lf.FunctionalSpec.entry(0, 2).vectors(2), ValueError, "out of range"),
     (lambda: lf.FunctionalSpec.op_norm().vectors(2), ValueError, r"no \(y, z\) form"),

@@ -299,8 +299,10 @@ class TestSingularStep:
 
 class TestCompensatedMask:
     """The truncation 1{||vec a|| <= 1} of the triplet is one cached mask,
-    read by jump_compensator, generator_apply and check_characteristics.
-    The atoms have ||vec a|| exactly 1 and one ulp below and above it."""
+    read by jump_compensator, and through drift() by generator_apply and
+    check_characteristics.  The atoms have ||vec a|| exactly 1 and one ulp
+    below and above it; the triplet has no drift0, so its drift is gamma
+    minus the compensation the mask selects."""
 
     ATOMS = (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, np.nextafter(1.0, 0.0), 0.0]),
              np.diag([0.0, 0.0, np.nextafter(1.0, 2.0)]))
@@ -311,8 +313,7 @@ class TestCompensatedMask:
                             atoms=tuple((r / sum(self.RATES), a)
                                         for r, a in zip(self.RATES, self.ATOMS)))
         gamma = np.array([[0.3, -0.2, 0.1], [0.0, 0.4, 0.2], [0.5, 0.0, -0.1]])
-        return lf.MatrixLevyTriplet(d=3, sigma=np.zeros((9, 9)), gamma=gamma,
-                                    drift0=np.zeros((3, 3)), jumps=jumps)
+        return lf.MatrixLevyTriplet(d=3, sigma=np.zeros((9, 9)), gamma=gamma, jumps=jumps)
 
     def _loop(self, trip):
         """[(rate, atom, compensated)] per atom, the norm summed in Python."""
@@ -349,6 +350,25 @@ class TestCompensatedMask:
             v = math.log(abs(np.linalg.det(np.eye(3) + a)))
             want += r * (v * (abs(v) <= 1.0) - np.trace(a) * comp)
         assert lf.check_characteristics(trip).gamma_D == pytest.approx(want, rel=1e-13)
+
+
+def test_closed_forms_read_the_drift_once():
+    """Where drift0 is set it is the drift: changing gamma alone (a triplet
+    that ``validate`` would refuse) moves neither check_characteristics nor
+    generator_apply, which read ``drift()`` as the engine does."""
+    from levyflow.cli import _gauss_bump
+
+    jumps = lf.JumpSpec(rate=1.5, atoms=((0.5, [[0.2, 0.1], [0.0, -0.3]]),
+                                         (0.5, [[1.5, 0.0], [0.4, 0.2]])))
+    drift0 = np.array([[0.1, -0.2], [0.3, 0.05]])
+    x = np.array([[1.0, 0.2], [-0.1, 0.9]])
+    f = _gauss_bump(np.eye(2), 1.0)
+    seen = []
+    for gamma in (np.zeros((2, 2)), np.array([[5.0, 1.0], [-2.0, 3.0]])):
+        trip = lf.MatrixLevyTriplet(d=2, sigma=0.1 * np.eye(4), gamma=gamma, drift0=drift0,
+                                    jumps=jumps)
+        seen.append((lf.check_characteristics(trip), lf.generator_apply(trip, f, x)))
+    assert seen[0] == seen[1]
 
 
 class TestConfigRoundTrip:

@@ -484,9 +484,10 @@ def test_sampler_cells_are_the_engine_steps(T, dt, n, monkeypatch):
 
 def test_step_grid_rule():
     """n = round(T / dt) steps of T / n, the last point exactly T; a dt above
-    T has no whole step and raises InvalidStep."""
+    T has no whole step, and a T / dt that overflows no step count, and both
+    raise InvalidStep."""
     for T, dt, n in [(1.0, 0.25, 4), (1.0, 0.3, 3), (0.3, 0.5, None), (1.0, 2.0, None),
-                     (2.0, 0.75, 3)]:
+                     (2.0, 0.75, 3), (1.0, 5e-324, None)]:
         if n is None:
             with pytest.raises(lf.InvalidStep, match="need T > 0"):
                 step_grid(T, dt)

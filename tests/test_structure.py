@@ -16,10 +16,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "levyflow"
     (r"InvalidStep\(", "_linalg.py"),
     (r"round\(T / dt\)|ceil\(T / dt|round\(h / dt\)", "_linalg.py"),
     (r"sigma\[|sigma\.reshape|rates\.sum\(\)", "levy_model.py"),
-], ids=["seed_children", "step_refusal", "step_count", "triplet_arrays"])
+    (r"a direction needs finite entries", "_linalg.py"),
+    (r"triplet\.gamma\b|\.compensated\b", "levy_model.py"),
+], ids=["seed_children", "step_refusal", "step_count", "triplet_arrays",
+        "direction_refusal", "drift_reading"])
 def test_one_rule_in_one_module(pattern, home):
     """The seed rule (``_engine.child_seeds``), the step rule
-    (``_linalg.step_grid``) and the reading of sigma and the atom law
-    (``levy_model``) are each written in their own module only."""
+    (``_linalg.step_grid``), the direction rule (``_linalg.unit_vectors``),
+    the reading of sigma and the atom law, and the reading of the drift from
+    gamma and the compensated atoms (``levy_model``) are each written in
+    their own module only."""
     found = {p.name for p in SRC.glob("*.py") if re.search(pattern, p.read_text())}
     assert found == {home}
