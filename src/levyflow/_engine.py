@@ -58,13 +58,15 @@ mixing run's step, so those steps are drawn ahead too.  Its jumps come from
 four more streams, child_seeds(seed, 4, (JUMP_KEY,)), planned a block of
 steps at a time (in about BLOCK doubles of memory): each step's total from
 the count stream, then per jump a path, an offset and an atom, each from its
-own stream; a sort by (step, path, offset) gives each jump its round, and
-one elementwise pass builds all of the block's factors.  Each stream is read
-in step order, and a factor depends on its own jump only, so no result
-depends on the block sizes or on thread timing: only one normal draw runs at
-a time and the blocks are taken in order.  The worker is joined before the
-run returns or raises.  Results are deterministic given the seed,
-independent of BLAS threading.
+own stream (``draw_jumps``); a sort by (step, path, offset) gives each jump
+its round, and one elementwise pass builds all of the block's factors.  Each
+stream is read in step order, and a factor depends on its own jump only, so
+no result depends on the block sizes or on thread timing: only one normal
+draw runs at a time and the blocks are taken in order.  The worker is joined
+before the run returns or raises.  Results are deterministic given the seed,
+independent of BLAS threading.  ``draw_jumps`` is the package's one jump
+law: ``path_sampler.sample_levy_path`` reads it, and the normal stream, as a
+run of one path does, so the two kernels share their noise at a seed.
 """
 from __future__ import annotations
 
@@ -84,8 +86,10 @@ DEFAULT_DT = 0.05
 # Doubles per block of prefetched normals (two blocks are kept, 2 MB), and
 # about the doubles a planned block of jumps works in (see planned_jumps).
 BLOCK = 2 ** 17
-# Spawn key, under the run's seed, of its jump streams (the bytes "jump").
+# Spawn keys, under a run's seed, of its jump streams (the bytes "jump") and
+# of the path sampler's Brownian-bridge stream (the bytes "brdg").
 JUMP_KEY = 0x6A756D70
+BRIDGE_KEY = 0x62726467
 
 
 class DegenerateNorm(ArithmeticError):
@@ -97,6 +101,14 @@ def need_two_paths(n: int) -> None:
     spread: fewer than two paths raise ValueError."""
     if n < 2:
         raise ValueError(f"a variance needs two or more paths, got {n}")
+
+
+def se_floor(scale):
+    """1e-9 max(1, |scale|), elementwise: a Monte Carlo standard error at or
+    below it is rounding jitter in identical samples (deterministic
+    dynamics), not a usable se.  Each estimator passes the scale of what it
+    estimates and keeps its own z-score for such a sample."""
+    return 1e-9 * np.maximum(1.0, np.abs(scale))
 
 
 class _StepScheme:
@@ -147,45 +159,6 @@ class _StepScheme:
         f += self.drift_factor[:, :, None]
         return f.transpose(2, 0, 1)
 
-    def draw_jumps(self, streams, n: int, k: int):
-        """The jumps of k steps on n paths, as arrays ordered by (step, round,
-        path): each jump's step, path, round (the rank of its offset in its
-        cell), offset in units of dt and atom index.
-
-        ``streams`` are the run's four jump generators (``_jump_streams``).
-        Each step's total is Poisson(rate dt n), and each jump takes a uniform
-        path, a uniform offset and an atom from its own stream; by Poisson
-        splitting, each cell (path-step) then holds an independent
-        Poisson(rate dt) count of jumps with i.i.d. uniform offsets and atoms,
-        the law of per-cell draws.  Each stream is read in step order, so the
-        arrays do not depend on how a run's steps are split into blocks.
-        """
-        counts, paths, offsets, atoms = streams
-        totals = counts.poisson(self.jump_rate * self.dt * n, k)
-        size = int(totals.sum())
-        step = np.repeat(np.arange(k), totals)
-        path = paths.integers(0, n, size)
-        offset = offsets.random(size)
-        atom = (atoms.choice(len(self.probs), size, p=self.probs) if len(self.probs) > 1
-                else np.zeros(size, dtype=np.intp))
-        if size == 0:  # every array is empty, the rounds too
-            return step, path, step, offset, atom
-        # group by cell, then order offsets inside the cells holding several
-        cell = step * n + path
-        order = np.argsort(cell, kind="stable")
-        cell = cell[order]
-        same = cell[1:] == cell[:-1]
-        if same.any():
-            multi = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-            order[multi] = order[multi[np.lexsort((offset[order[multi]], cell[multi]))]]
-        del cell
-        rnd = np.arange(size)
-        rnd -= np.maximum.accumulate(np.where(np.r_[True, ~same], rnd, 0))
-        # a stable sort on (step, round) keeps each round's paths ascending
-        by_round = np.argsort(step[order] * (rnd.max() + 1) + rnd, kind="stable")
-        order = order[by_round]
-        return step[order], path[order], rnd[by_round], offset[order], atom[order]
-
     def jump_factors(self, offset, atom):
         """Paths-last (d, d, J) factors I + e^{-r gamma^0} a e^{r gamma^0},
         r = 1 - offset in units of dt, of J jumps in one elementwise pass."""
@@ -216,7 +189,8 @@ class _StepScheme:
 
     def _block_rounds(self, streams, n: int, k: int):
         """The rounds of each of k steps, slices of one block's arrays."""
-        step, path, rnd, offset, atom = self.draw_jumps(streams, n, k)
+        step, path, rnd, offset, atom = draw_jumps(streams, self.jump_rate, self.dt,
+                                                   self.probs, n, k)
         f = self.jump_factors(offset, atom)
         rounds = [[] for _ in range(k)]
         if step.size:
@@ -248,6 +222,49 @@ def child_seeds(seed, k: int, key: tuple = ()) -> list:
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, *key, i),
                                    pool_size=seq.pool_size) for i in range(k)]
+
+
+def draw_jumps(streams, rate: float, dt: float, probs, n: int, k: int):
+    """The jumps of k steps of length dt on n paths, as arrays ordered by
+    (step, round, path): each jump's step, path, round (the rank of its
+    offset in its cell), offset in units of dt and atom index.  This is the
+    package's one jump law: the engine's rounds and ``sample_levy_path``
+    (at n = 1) both read it.
+
+    ``streams`` are the run's four jump generators (``_jump_streams``).
+    Each step's total is Poisson(rate dt n), and each jump takes a uniform
+    path, a uniform offset in [0, 1) and an atom, by the law ``probs``, from
+    its own stream; by Poisson splitting, each cell (path-step) then holds
+    an independent Poisson(rate dt) count of jumps with i.i.d. uniform
+    offsets and atoms, the law of per-cell draws.  Each stream is read in
+    step order, so the arrays do not depend on how a run's steps are split
+    into blocks.
+    """
+    counts, paths, offsets, atoms = streams
+    totals = counts.poisson(rate * dt * n, k)
+    size = int(totals.sum())
+    step = np.repeat(np.arange(k), totals)
+    path = paths.integers(0, n, size)
+    offset = offsets.random(size)
+    atom = (atoms.choice(len(probs), size, p=probs) if len(probs) > 1
+            else np.zeros(size, dtype=np.intp))
+    if size == 0:  # every array is empty, the rounds too
+        return step, path, step, offset, atom
+    # group by cell, then order offsets inside the cells holding several
+    cell = step * n + path
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    same = cell[1:] == cell[:-1]
+    if same.any():
+        multi = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+        order[multi] = order[multi[np.lexsort((offset[order[multi]], cell[multi]))]]
+    del cell
+    rnd = np.arange(size)
+    rnd -= np.maximum.accumulate(np.where(np.r_[True, ~same], rnd, 0))
+    # a stable sort on (step, round) keeps each round's paths ascending
+    by_round = np.argsort(step[order] * (rnd.max() + 1) + rnd, kind="stable")
+    order = order[by_round]
+    return step[order], path[order], rnd[by_round], offset[order], atom[order]
 
 
 def _jump_streams(seed):
@@ -362,15 +379,16 @@ def evolve_vectors(triplet: MatrixLevyTriplet, starts, T: float, n_paths: int,
     Returns (times, dirs, logs) with dirs of shape (k, n_paths, m, d) holding
     unit vectors and logs of shape (k, n_paths, m) holding log ||y @ X_t||.
     A start row that is not a direction (``_linalg.unit_vectors``) raises
-    ValueError.
+    ValueError; any other starts with the log-norm that it returns, which is
+    finite also for a row whose norm exceeds the float range.
     """
-    starts, norms = unit_vectors(np.atleast_2d(starts))
+    starts, logs = unit_vectors(np.atleast_2d(starts))
     if starts.ndim == 2:  # shared rows: scaled once, then broadcast to every path
         starts = np.broadcast_to(starts, (n_paths,) + starts.shape)
-        norms = np.broadcast_to(norms, starts.shape[:2])
+        logs = np.broadcast_to(logs, starts.shape[:2])
     if starts.shape[0] != n_paths:
         raise ValueError("per-path starts must have leading dimension n_paths")
-    return _evolve(triplet, T, seed, snapshot_times, dt, starts, np.log(norms), (1,))
+    return _evolve(triplet, T, seed, snapshot_times, dt, starts, logs, (1,))
 
 
 def evolve_matrices(triplet: MatrixLevyTriplet, T: float, n_paths: int, seed,

@@ -85,13 +85,15 @@ def grid_indices(grid: np.ndarray, times) -> np.ndarray:
 
 
 def unit_vectors(v, axis: int = -1):
-    """(v / |v|, |v|) for the vectors along ``axis`` of v: the package's one
-    rule for a direction.  A vector with a non-finite entry, or no nonzero
-    entry, raises ValueError.  |v|^2 is summed coordinate by coordinate, so a
-    vector rounds the same in any batch; where that sum overflows or is not
-    a normal number, it is taken again on v times the power of two that
-    brings its largest entry into [1/2, 1).  That scaling is exact, so v 2^k
-    has bit for bit the unit vector of v; |v| is inf only beyond the range."""
+    """(v / |v|, log |v|) for the vectors along ``axis`` of v: the package's
+    one rule for a direction.  A vector with a non-finite entry, or no
+    nonzero entry, raises ValueError.  |v|^2 is summed coordinate by
+    coordinate, so a vector rounds the same in any batch; where that sum
+    overflows or is not a normal number, it is taken again on w = v 2^k, k
+    the power of two that brings v's largest entry into [1/2, 1).  That
+    scaling is exact, so v 2^k has bit for bit the unit vector of v, and
+    log |v| is log |w| - k log 2, finite also where |v| is beyond the float
+    range."""
     coords = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
     with np.errstate(over="ignore", under="ignore"):
         s = sum(x * x for x in coords)
@@ -105,7 +107,8 @@ def unit_vectors(v, axis: int = -1):
             s = sum(x * x for x in coords)
         norms = np.sqrt(s)
         unit = np.moveaxis(coords / norms, 0, axis)
-        return unit, norms if scale is None else np.ldexp(norms, -scale)
+        logs = np.log(norms)
+        return unit, logs if scale is None else logs - scale * math.log(2.0)
 
 
 def line_fit(x, y) -> tuple[float, float, float]:

@@ -137,14 +137,14 @@ def _proximal_word(gens, search_depth: int, n_samples: int, rng):
 
 
 def _real_eigvecs(a: np.ndarray) -> list[np.ndarray]:
+    """The canonical units of a's real eigenvectors, in one call: those whose
+    eigenvalue, and largest imaginary part of an entry, are at most 1e-9
+    max(1, modulus) off the real line."""
     vals, vecs = np.linalg.eig(a)
-    out = []
-    for k, lam in enumerate(vals):
-        if abs(lam.imag) <= 1e-9 * max(1.0, abs(lam)):
-            v = vecs[:, k]
-            if np.max(np.abs(v.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(v)))):
-                out.append(canonical_unit(v.real))
-    return out
+    size = np.abs(vecs).max(axis=0)
+    real = ((np.abs(vals.imag) <= 1e-9 * np.maximum(1.0, np.abs(vals)))
+            & (np.abs(vecs.imag).max(axis=0) <= 1e-9 * np.maximum(1.0, size)))
+    return list(canonical_unit(vecs[:, real].real).T)
 
 
 def _orbit_closure(start: np.ndarray, act, cap: int):
@@ -367,9 +367,8 @@ def generator_mc_check(triplet: MatrixLevyTriplet, f: SmoothFunction,
         vals = f.value(x @ mats[0])
         q = (vals.mean() - fx) / h
         se = float(vals.std(ddof=1) / (h * np.sqrt(n_paths)))
-        # deterministic dynamics: rounding noise in identical samples is not
-        # a usable standard error, so the z-score is 0 by convention
-        if se <= 1e-9 * max(1.0, abs(q), abs(a_val)):
+        # an se under the floor is no usable standard error: z = 0 by convention
+        if se <= _engine.se_floor(max(abs(q), abs(a_val))):
             se, z = 0.0, 0.0
         else:
             z = float((q - a_val) / se)

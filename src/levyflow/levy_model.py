@@ -158,9 +158,9 @@ class MatrixLevyTriplet:
 
     @cached_property
     def probs(self) -> np.ndarray:
-        """The atom law rate_i / sum rate, shape (k,), by which the engine and
-        the path sampler draw a jump's atom.  Defined where the rates have a
-        positive sum (an active jump part), the only place either reads it."""
+        """The atom law rate_i / sum rate, shape (k,), by which
+        ``_engine.draw_jumps`` draws a jump's atom.  Defined where the rates
+        have a positive sum (an active jump part), the only place it is read."""
         return _frozen(self.rates / self.rates.sum())
 
     @cached_property

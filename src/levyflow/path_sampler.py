@@ -5,7 +5,12 @@ Brownian) increment per cell, and time-sorted jumps whose marks it stacks once,
 refusing those that ``singular_step`` calls singular.  Jump times are grid
 points: the sampler merges them into ``_linalg.step_grid``, the uniform grid
 whose steps the engine takes too and whose ``InvalidStep`` this module
-re-exports, and hand-built paths must do the same.  The exponential walkers
+re-exports, and hand-built paths must do the same.  The sampler has no draw
+rule of its own: its jumps are ``_engine.draw_jumps`` on the engine's jump
+streams and its step normals the engine's normal stream, both as an engine
+run of one path reads them, so a sampled path and that run share their
+noise; only the Brownian bridge that splits a step at its jumps draws from
+a stream of its own.  The exponential walkers
 form one time-ordered product: each cell's factor, then at a grid point
 carrying jumps their exact factors (I + mark) in list order;
 ``auto_exponential`` picks the walker.  The exact walker's cell factors and
@@ -208,37 +213,63 @@ def _walk(path: LevyPath, cell_factors, method: str) -> ExpPath:
 # -- operations ----------------------------------------------------------------
 
 def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> LevyPath:
-    """Draw one path of L on [0, T].
+    """Draw one path of L on [0, T] from the noise of an engine run of one
+    path at the same (T, dt, seed).
 
-    The grid is ``_linalg.step_grid(T, dt)``, the engine's step grid,
-    merged with the (Poisson) jump times, so jumps sit exactly on grid
-    points.  Brownian increments per cell have covariance (cell length) *
-    sigma on vec coordinates and the drift adds (cell length) * gamma^0.
-    Deterministic given ``seed``, read as the engine reads it; a (T, dt)
-    that ``step_grid`` refuses raises ``InvalidStep`` before any draw.
+    The grid is ``_linalg.step_grid(T, dt)``, of step h = grid[1], merged
+    with the jumps that ``_engine.draw_jumps`` draws on the engine's jump
+    streams: a jump at offset o of step s sits at grid[s] + o h, capped at
+    grid[s + 1], which the sum can round past.  An offset of 0 in step 0
+    would put a jump at t = 0, where a path carries none; that jump sits at
+    the least positive double instead, after a first cell 5e-324 long.  The
+    drift adds (cell length) * gamma^0, and step s's Brownian part, G
+    sqrt(h) z_s with z_s the s-th d^2 block of the engine's normal stream,
+    is shared among the step's cells by ``_bridge``.  So for sigma = 0 the
+    exact walker forms the engine's product pathwise.  A (T, dt) that
+    ``step_grid`` refuses raises ``InvalidStep`` before any draw.
     """
     uniform = step_grid(T, dt)
-    rng = np.random.default_rng(seed)
-    d = triplet.d
-
+    h, n, d = uniform[1], len(uniform) - 1, triplet.d
     jumps: tuple[tuple[float, np.ndarray], ...] = ()
     jump_times = np.empty(0)
     if triplet.jumps.active:
-        n_jumps = int(rng.poisson(triplet.jumps.rate * T))
-        jump_times = np.sort(T * (1.0 - rng.random(n_jumps)))
-        kinds = rng.choice(len(triplet.probs), size=n_jumps, p=triplet.probs)
-        jumps = tuple(zip(jump_times.tolist(), triplet.marks[kinds]))
+        step, _, _, offset, atom = _engine.draw_jumps(
+            _engine._jump_streams(seed), triplet.jumps.rate, h, triplet.probs, 1, n)
+        jump_times = np.maximum(np.minimum(uniform[step] + offset * h, uniform[step + 1]),
+                                np.nextafter(0.0, 1.0))
+        jumps = tuple(zip(jump_times.tolist(), triplet.marks[atom]))
 
     grid = np.unique(np.concatenate([uniform, jump_times]))
-
-    lens = np.diff(grid)
-    inc = lens[:, None, None] * triplet.drift()
+    inc = np.diff(grid)[:, None, None] * triplet.drift()
     if triplet.has_gaussian_part():
         g = triplet.brownian_factor.reshape(d * d, -1)
-        z = rng.standard_normal((len(lens), d * d))
-        inc = inc + ((z * np.sqrt(lens)[:, None]) @ g.T).reshape(-1, d, d)
+        z = np.random.default_rng(seed).standard_normal((n, d * d))
+        inc = inc + (_bridge(grid, uniform, z, seed) @ g.T).reshape(-1, d, d)
 
     return LevyPath(grid=grid, increments=inc, jumps=jumps)
+
+
+def _bridge(grid, uniform, z, seed) -> np.ndarray:
+    """Each cell's standard Brownian increment, in d^2 coordinates, on
+    ``grid``, the ``uniform`` step grid split at jump times, where step s's
+    total is sqrt(h) z_s.  A cell that is a whole step takes it as is.  The
+    cells c of a split step take sqrt(l_c) xi_c + (l_c / h)(sqrt(h) z_s -
+    sum_c sqrt(l_c) xi_c), l_c their lengths and xi_c normals from the
+    seed's child (BRIDGE_KEY, 0) in cell order: a Brownian motion minus its
+    chord plus the chord to the total.  They are independent N(0, l_c I)
+    and sum to the total to rounding."""
+    lens = np.diff(grid)
+    cell_step = np.searchsorted(uniform, grid[:-1], "right") - 1
+    w = z[cell_step] * np.sqrt(lens)[:, None]
+    split = np.flatnonzero(np.bincount(cell_step)[cell_step] > 1)
+    if split.size:
+        rng = np.random.default_rng(_engine.child_seeds(seed, 1, (_engine.BRIDGE_KEY,))[0])
+        free = rng.standard_normal((split.size, z.shape[1])) * np.sqrt(lens[split])[:, None]
+        steps, first, k = np.unique(cell_step[split], return_index=True, return_inverse=True)
+        h = np.diff(uniform)[steps]
+        gap = np.sqrt(h)[:, None] * z[steps] - np.add.reduceat(free, first)
+        w[split] = free + (lens[split] / h[k])[:, None] * gap[k]
+    return w
 
 
 def coarsen_path(path: LevyPath, factor: int) -> LevyPath:
@@ -371,14 +402,13 @@ def mean_check(triplet: MatrixLevyTriplet, t: float, n_paths: int, seed) -> Mean
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_paths)
     target = expm_pair_last(t * triplet.mean_l1())([1.0])[0][:, :, 0]
     diff = mc - target
-    # identical samples leave only rounding jitter in se, which is not a
-    # usable standard error: such entries get se = 0 and z = 0 (or inf when
-    # the means genuinely disagree)
-    degenerate = se <= 1e-9 * np.maximum(1.0, np.abs(target))
+    # an se under the floor is no usable standard error: such entries get
+    # se = 0 and z = 0 (or inf when the means disagree beyond the floor too)
+    floor = _engine.se_floor(target)
+    degenerate = se <= floor
     se = np.where(degenerate, 0.0, se)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(~degenerate, diff / np.where(degenerate, 1.0, se),
-                     np.where(np.abs(diff) <= 1e-9 * np.maximum(1.0, np.abs(target)),
-                              0.0, np.inf))
+                     np.where(np.abs(diff) <= floor, 0.0, np.inf))
     return MeanCheckReport(t=float(t), n_paths=n_paths, mc_mean=mc,
                            target=target, se=se, z=z)

@@ -135,18 +135,31 @@ def test_scaled_start_row_shifts_only_its_log_norm(k):
 def test_unit_vectors_rescales_only_where_the_sum_fails():
     """In one batch, the vectors whose squared norm is finite and normal keep
     the first pass's bits, and the others get their scaled unit vectors;
-    |v| is the norm of each, far below and above the normal range too."""
+    log |v| is the log-norm of each, far below and above the normal range
+    too, and bit for bit log of the first pass where no scaling was taken."""
     rng = np.random.default_rng(4)
     base = rng.standard_normal((6, 3))
     scales = np.array([0, 600, -600, 1000, -1000, 0])
     batch = np.ldexp(base, scales[:, None])
-    units, norms = unit_vectors(batch)
+    units, logs = unit_vectors(batch)
     first_pass = np.sqrt(sum(x * x for x in base.T))
     np.testing.assert_array_equal(units, base / first_pass[:, None])
-    np.testing.assert_array_equal(norms, np.ldexp(first_pass, scales))
+    np.testing.assert_array_equal(logs[[0, 5]], np.log(first_pass[[0, 5]]))
+    np.testing.assert_allclose(logs, np.log(first_pass) + scales * math.log(2.0),
+                               rtol=1e-15, atol=0.0)
     # along the first axis, the same vectors as columns
-    units_t, norms_t = unit_vectors(batch.T, axis=0)
+    units_t, logs_t = unit_vectors(batch.T, axis=0)
     np.testing.assert_array_equal(units_t, units.T)
-    np.testing.assert_array_equal(norms_t, norms)
+    np.testing.assert_array_equal(logs_t, logs)
     # one subnormal entry is a direction too
     np.testing.assert_array_equal(unit_vectors([5e-324, 0.0])[0], [1.0, 0.0])
+
+
+def test_start_row_beyond_the_float_range():
+    """A start row whose norm exceeds the largest double runs: its log-norms
+    are those of the row scaled into range, plus the log of the scale."""
+    args = (1.0, 3, 5, [0.5, 1.0])
+    _, dirs, logs = _engine.evolve_vectors(SB2, [1.5e308, 1.5e308], *args)
+    _, dirs_1, logs_1 = _engine.evolve_vectors(SB2, [1.5, 1.5], *args)
+    np.testing.assert_allclose(dirs, dirs_1, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(logs, logs_1 + math.log(1e308), rtol=1e-12, atol=0.0)

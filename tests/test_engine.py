@@ -127,7 +127,7 @@ class TestDrawOrder:
             schemes[0].jump_plan(plans[0])
 
         streams = _engine._jump_streams(seed)
-        got = schemes[0].draw_jumps(streams, n, k)
+        got = _engine.draw_jumps(streams, MIXED.jumps.rate, dt, MIXED.probs, n, k)
         assert sorted(zip(got[0].tolist(), got[1].tolist(), got[4].tolist())) == sorted(
             zip(step.tolist(), path.tolist(), atom.tolist()))
         for mine, theirs in zip(streams, replay):
@@ -210,7 +210,8 @@ def test_jump_block_has_the_law_of_per_cell_draws(case):
     triplet, dt, seed = case
     n, k = 100, 12
     scheme = _engine._StepScheme(triplet, dt)
-    step, path, rnd, offset, atom = scheme.draw_jumps(_engine._jump_streams(seed), n, k)
+    step, path, rnd, offset, atom = _engine.draw_jumps(
+        _engine._jump_streams(seed), triplet.jumps.rate, dt, triplet.probs, n, k)
     lam, cells = triplet.jumps.rate * dt, n * k
     counts = np.bincount(step * n + path, minlength=cells)
     assert abs(counts.mean() - lam) <= 4.0 * np.sqrt(lam / cells)
@@ -576,7 +577,7 @@ class TestPrefetch:
         ("with_jumps", 2 * K + 1, K, 1),
         ("full_draw_matrices", 2 * K + 1, 0.9, 0),
     ], ids=["prefetch", "prefetch_row_noise", "one_block", "jumps", "step_above_block"])
-    def test_worker_only_for_jump_free_runs_of_blocks(self, monkeypatch, case, n_steps,
+    def test_worker_only_for_runs_longer_than_a_block(self, monkeypatch, case, n_steps,
                                                       block_steps, workers):
         """One worker thread draws ahead in a run longer than a block, with
         or without jumps; a step above BLOCK or a single block draws inline.
@@ -615,13 +616,13 @@ def test_jump_runs_do_not_depend_on_block_or_threads(monkeypatch, name):
     times = np.arange(n_steps + 1) * DT
     run = lambda: _engine.evolve_matrices(triplet, n_steps * DT, N_PATHS, 4, times, DT)
     want = run()
-    blocks, draw_jumps = [], _engine._StepScheme.draw_jumps
+    blocks, draw_jumps = [], _engine.draw_jumps
 
-    def spy(self, streams, n, k):
+    def spy(streams, rate, dt, probs, n, k):
         blocks.append(k)
-        return draw_jumps(self, streams, n, k)
+        return draw_jumps(streams, rate, dt, probs, n, k)
 
-    monkeypatch.setattr(_engine._StepScheme, "draw_jumps", spy)
+    monkeypatch.setattr(_engine, "draw_jumps", spy)
     for block in (6, 24, 48, 72, 144, 240):
         monkeypatch.setattr(_engine, "BLOCK", block)
         for got, w in zip(run(), want):

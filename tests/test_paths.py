@@ -482,6 +482,126 @@ def test_sampler_cells_are_the_engine_steps(T, dt, n, monkeypatch):
     assert path.grid[-1] == T and steps[0] == T / n
 
 
+def _positive_cpp() -> lf.MatrixLevyTriplet:
+    """Acceptance criterion 08's sigma = 0 triplet: drift0 and one atom with
+    nonnegative entries off the diagonal."""
+    atom = np.array([[0.5, 0.2], [0.1, 0.3]])
+    jumps = lf.JumpSpec(rate=1.0, atoms=((1.0, atom),))
+    return lf.MatrixLevyTriplet(d=2, sigma=np.zeros((4, 4)), gamma=np.zeros((2, 2)),
+                                drift0=np.array([[0.1, 0.4], [0.3, -0.2]]), jumps=jumps)
+
+
+def _engine_state(triplet, T, dt, seed):
+    """X_T of one engine path, not renormalized."""
+    return _engine.evolve_matrices(triplet, T, 1, seed, [T], dt, renormalize=False)[1][0, 0]
+
+
+# sigma > 0 with jumps and a correlated Gaussian part
+_SIGMA_FACTOR = np.array([[0.5, 0.1, 0.0, 0.2], [0.0, 0.4, -0.2, 0.0],
+                          [0.1, 0.0, 0.3, 0.1], [0.0, 0.2, 0.0, 0.6]])
+_BRIDGED = lf.MatrixLevyTriplet(
+    d=2, sigma=_SIGMA_FACTOR @ _SIGMA_FACTOR.T,
+    gamma=np.array([[0.1, -0.6], [0.6, 0.0]]), drift0=np.array([[0.1, -0.6], [0.6, 0.0]]),
+    jumps=lf.JumpSpec(rate=3.0, atoms=((0.5, 0.4 * np.eye(2)), (0.5, np.diag([0.3, -0.2])))))
+
+
+def _cells_by_step(path, T, dt):
+    """The step grid, each cell's step and whether its step is split."""
+    uniform = step_grid(T, dt)
+    cell_step = np.searchsorted(uniform, path.grid[:-1], "right") - 1
+    return uniform, cell_step, np.bincount(cell_step)[cell_step] > 1
+
+
+class TestEngineStreams:
+    """The path sampler reads the engine's jump and normal streams."""
+
+    @pytest.mark.parametrize("triplet", [
+        ROT, lf.builtin_triplet("diagonal_reducible"), _positive_cpp(),
+    ], ids=["rotation_rank1", "diagonal_reducible", "positive_cpp"])
+    def test_exact_walker_is_the_engine_pathwise(self, triplet):
+        """For sigma = 0, the exact product over a sampled path is the
+        engine's X_T at the same seed, within 1e-12 relative, on 100 seeds."""
+        jumps = 0
+        for seed in range(100):
+            path = lf.sample_levy_path(triplet, 5.0, 0.1, seed)
+            jumps += len(path.jumps)
+            got = lf.exact_cpp_exponential(path, triplet).X[-1]
+            assert _rel_err(got, _engine_state(triplet, 5.0, 0.1, seed)) <= 1e-12
+        assert jumps > 100
+
+    def test_emery_walker_is_the_engine_pathwise_for_brownian_flow(self):
+        """With zero drift and no jumps the engine's factors are the Emery
+        factors I + sqrt(dt) G z of the same normals."""
+        for seed in range(100):
+            got = lf.emery_exponential(lf.sample_levy_path(SB2, 5.0, 0.1, seed)).X[-1]
+            assert _rel_err(got, _engine_state(SB2, 5.0, 0.1, seed)) <= 1e-12
+
+    def test_jump_at_offset_zero_of_the_first_step(self, monkeypatch):
+        """A jump drawn at offset 0 of step 0 sits at the least positive
+        double, and the walker still forms the engine's product."""
+        draw = _engine.draw_jumps
+
+        def first_at_zero(*args):
+            step, path, rnd, offset, atom = draw(*args)
+            step[0], offset[0] = 0, 0.0
+            return step, path, rnd, offset, atom
+
+        monkeypatch.setattr(_engine, "draw_jumps", first_at_zero)
+        path = lf.sample_levy_path(ROT, 5.0, 0.1, 0)
+        assert path.jumps[0][0] == path.grid[1] == np.nextafter(0.0, 1.0)
+        assert path.jump_index[0] == 1
+        got = lf.exact_cpp_exponential(path, ROT).X[-1]
+        assert _rel_err(got, _engine_state(ROT, 5.0, 0.1, 0)) <= 1e-12
+
+    def test_split_steps_sum_to_the_engine_step(self):
+        """The cells of each step sum, to rounding, to h gamma^0 + sqrt(h) G z
+        with z the step's block of the engine's normal stream."""
+        T, dt, d = 5.0, 0.1, 2
+        g = _BRIDGED.brownian_factor.reshape(d * d, -1)
+        split_steps = 0
+        for seed in range(20):
+            path = lf.sample_levy_path(_BRIDGED, T, dt, seed)
+            uniform, cell_step, split = _cells_by_step(path, T, dt)
+            split_steps += len(np.unique(cell_step[split]))
+            h = np.diff(uniform)
+            z = np.random.default_rng(seed).standard_normal((len(h), d * d))
+            want = h[:, None, None] * _BRIDGED.drift() + (
+                np.sqrt(h)[:, None] * z @ g.T).reshape(-1, d, d)
+            got = np.zeros_like(want)
+            np.add.at(got, cell_step, path.increments)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+            whole = ~split
+            np.testing.assert_array_equal(
+                path.increments[whole],
+                np.diff(path.grid)[whole, None, None] * _BRIDGED.drift()
+                + ((z[cell_step[whole]] * np.sqrt(np.diff(path.grid)[whole])[:, None])
+                   @ g.T).reshape(-1, d, d))
+        assert split_steps > 100
+
+    def test_cells_have_the_brownian_law(self):
+        """Over 2000 seeds, each cell's Brownian part over sqrt(cell length)
+        has covariance G G^T, within |z| <= 3 per entry, in split and in
+        unsplit cells alike."""
+        T, dt, d = 1.0, 0.25, 2
+        parts = {True: [], False: []}
+        for seed in range(2000):
+            path = lf.sample_levy_path(_BRIDGED, T, dt, seed)
+            lens = np.diff(path.grid)
+            b = (path.increments - lens[:, None, None] * _BRIDGED.drift()).reshape(-1, d * d)
+            split = _cells_by_step(path, T, dt)[2]
+            for key in (True, False):
+                parts[key].append(b[split == key] / np.sqrt(lens[split == key])[:, None])
+        g = _BRIDGED.brownian_factor.reshape(d * d, -1)
+        target = g @ g.T
+        iu = np.triu_indices(d * d)
+        for key, rows in parts.items():
+            x = np.concatenate(rows)
+            assert len(x) > 3000
+            prods = (x[:, :, None] * x[:, None, :])[:, iu[0], iu[1]]
+            z = (prods.mean(axis=0) - target[iu]) / (prods.std(axis=0, ddof=1) / np.sqrt(len(x)))
+            assert np.max(np.abs(z)) <= 3.0, (key, z)
+
+
 def test_step_grid_rule():
     """n = round(T / dt) steps of T / n, the last point exactly T; a dt above
     T has no whole step, and a T / dt that overflows no step count, and both
@@ -568,3 +688,17 @@ class TestMeanCheck:
             lf.mean_check(ROT, t=0.0, n_paths=10, seed=0)
         with pytest.raises(ValueError):
             lf.mean_check(ROT, t=1.0, n_paths=1, seed=0)
+
+
+def test_one_se_floor_for_both_mean_checks(monkeypatch):
+    """mean_check and generator_mc_check read the one se floor,
+    ``_engine.se_floor``: with a floor above every se, both report se = 0
+    and z = 0, each by its own convention."""
+    monkeypatch.setattr(_engine, "se_floor", lambda scale: np.full(np.shape(scale), np.inf))
+    rep = lf.mean_check(ROT, t=1.0, n_paths=50, seed=0)
+    assert np.all(rep.se == 0.0) and np.all(rep.z == 0.0)
+    c = np.array([[1.0, -0.5], [0.25, 2.0]])
+    f = lf.SmoothFunction(value=lambda x: np.sum(c * x, axis=(-2, -1)),
+                          grad=lambda x: c, hess=lambda x: np.zeros((2, 2, 2, 2)))
+    rows, _ = lf.generator_mc_check(SB2, f, np.eye(2), [0.01], n_paths=50, seed=0)
+    assert rows[0][2:] == (0.0, 0.0)
