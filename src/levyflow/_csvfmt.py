@@ -9,8 +9,9 @@ digits are D = round(|x| 10^(16 - k)).  The product is taken with Dekker's
 split product ("A floating-point technique for extending the available
 precision", Numer. Math. 18, 1971) against a double-double table of powers
 of ten, so its error is below 1e-14 and its rounding is certain unless the
-fraction lies within 1e-9 of one half.  D goes to ASCII four digits at a
-time through a table.
+fraction lies within 1e-9 of one half.  Just below 10^k, log10 can round
+up to k, which puts D below 10^16; those cells take a second pass at k - 1.
+D goes to ASCII four digits at a time through a table.
 
 Each cell is laid out in 48 fixed bytes, 8-byte words built from tables:
 
@@ -26,7 +27,7 @@ The zero bytes of a whole chunk are then removed at once.
 
 A cell the kernel cannot certify is formatted by ``'%.17g'`` itself: 0,
 +-inf and nan, |x| outside [1e-200, 1e200], a rounding within 1e-9 of a tie,
-and a k that log10 got wrong, which puts D outside [10^16, 10^17).
+and a D still outside [10^16, 10^17) after the second pass.
 """
 from __future__ import annotations
 
@@ -104,16 +105,10 @@ def _tables():
     return digits4.view(np.uint64).ravel(), trailing, lead, expo, seps, _masks(), layout
 
 
-def _digits(x: np.ndarray):
-    """(ok, D, X) for the float array x: where ok, D is |x| rounded to 17
-    significant digits, 10^16 <= D < 10^17, and X its decimal exponent, so
-    that |x| = D 10^(X - 16) to 17 digits.  ok is false for the cells whose
-    rounding the kernel cannot certify."""
+def _scaled(ax: np.ndarray, k: np.ndarray):
+    """(D, frac) of ax 10^(16 - k) for positive ax: its integer part D and
+    its fraction in [0, 1), to the error of the double-double product."""
     hi, hi_hi, hi_lo, lo = _powers()
-    ax = np.abs(x)
-    ok = (ax >= 1e-200) & (ax <= 1e200)  # false for 0, inf and nan
-    ax[~ok] = 1.0
-    k = np.floor(np.log10(ax)).astype(np.int64)
     p = 16 - k - _P_MIN
     # ax * hi = prod + err exactly (Dekker), and D = prod + err + ax * lo
     prod = ax * hi[p]
@@ -125,7 +120,25 @@ def _digits(x: np.ndarray):
     low = err + ax * lo[p]
     whole = np.floor(low)
     frac = low - whole
-    d = prod.astype(np.int64) + whole.astype(np.int64)
+    up = frac == 1.0  # a low just below 0 rounds to it
+    return prod.astype(np.int64) + whole.astype(np.int64) + up, np.where(up, 0.0, frac)
+
+
+def _digits(x: np.ndarray):
+    """(ok, D, X) for the float array x: where ok, D is |x| rounded to 17
+    significant digits, 10^16 <= D < 10^17, and X its decimal exponent, so
+    that |x| = D 10^(X - 16) to 17 digits.  ok is false for the cells whose
+    rounding the kernel cannot certify."""
+    ax = np.abs(x)
+    ok = (ax >= 1e-200) & (ax <= 1e200)  # false for 0, inf and nan
+    ax[~ok] = 1.0
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    d, frac = _scaled(ax, k)
+    # just below 10^k, log10 can round up to k: one more pass at k - 1
+    low = np.flatnonzero(d < 10 ** 16)
+    if low.size:
+        k[low] -= 1
+        d[low], frac[low] = _scaled(ax[low], k[low])
     ok &= (d >= 10 ** 16) & (d < 10 ** 17) & (np.abs(frac - 0.5) >= _TIE)
     d = np.where(ok, d + (frac > 0.5), 10 ** 16)
     carry = d == 10 ** 17  # 99...9.5 rounds into the next decade

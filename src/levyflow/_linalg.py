@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
 class InvalidStep(ValueError):
     """A horizon T and step dt that are not finite with 0 < dt <= T."""
 
@@ -93,12 +96,16 @@ def unit_vectors(v, axis: int = -1):
     the power of two that brings v's largest entry into [1/2, 1).  That
     scaling is exact, so v 2^k has bit for bit the unit vector of v, and
     log |v| is log |w| - k log 2, finite also where |v| is beyond the float
-    range."""
-    coords = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+    range.  Vectors along the leading axis (one vector, or the columns of a
+    (d, n) array at axis 0) are read in place, with no axis moved."""
+    coords = np.asarray(v, dtype=float)
+    moved = axis not in (0, -coords.ndim)
+    if moved:
+        coords = np.moveaxis(coords, axis, 0)
     with np.errstate(over="ignore", under="ignore"):
         s = sum(x * x for x in coords)
         scale = None
-        ok = (s >= np.finfo(float).tiny) & (s < np.inf)  # False for NaN
+        ok = (s >= _TINY) & (s < np.inf)  # False for NaN
         if not np.all(ok):
             if not np.all(np.isfinite(coords).all(axis=0) & (coords != 0.0).any(axis=0)):
                 raise ValueError("a direction needs finite entries, not all zero")
@@ -106,7 +113,9 @@ def unit_vectors(v, axis: int = -1):
             coords = np.ldexp(coords, scale)
             s = sum(x * x for x in coords)
         norms = np.sqrt(s)
-        unit = np.moveaxis(coords / norms, 0, axis)
+        unit = coords / norms
+        if moved:
+            unit = np.moveaxis(unit, 0, axis)
         logs = np.log(norms)
         return unit, logs if scale is None else logs - scale * math.log(2.0)
 

@@ -223,9 +223,10 @@ def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> L
     would put a jump at t = 0, where a path carries none; that jump sits at
     the least positive double instead, after a first cell 5e-324 long.  The
     drift adds (cell length) * gamma^0, and step s's Brownian part, G
-    sqrt(h) z_s with z_s the s-th d^2 block of the engine's normal stream,
-    is shared among the step's cells by ``_bridge``.  So for sigma = 0 the
-    exact walker forms the engine's product pathwise.  A (T, dt) that
+    sqrt(h) z_s with z_s the s-th d^2 block of the engine's normal stream
+    ``_engine.normal_stream(seed)`` (SFC64), is shared among the step's
+    cells by ``_bridge``.  So for sigma = 0 the exact walker forms the
+    engine's product pathwise.  A (T, dt) that
     ``step_grid`` refuses raises ``InvalidStep`` before any draw.
     """
     uniform = step_grid(T, dt)
@@ -243,7 +244,7 @@ def sample_levy_path(triplet: MatrixLevyTriplet, T: float, dt: float, seed) -> L
     inc = np.diff(grid)[:, None, None] * triplet.drift()
     if triplet.has_gaussian_part():
         g = triplet.brownian_factor.reshape(d * d, -1)
-        z = np.random.default_rng(seed).standard_normal((n, d * d))
+        z = _engine.normal_stream(seed).standard_normal((n, d * d))
         inc = inc + (_bridge(grid, uniform, z, seed) @ g.T).reshape(-1, d, d)
 
     return LevyPath(grid=grid, increments=inc, jumps=jumps)
@@ -254,16 +255,16 @@ def _bridge(grid, uniform, z, seed) -> np.ndarray:
     ``grid``, the ``uniform`` step grid split at jump times, where step s's
     total is sqrt(h) z_s.  A cell that is a whole step takes it as is.  The
     cells c of a split step take sqrt(l_c) xi_c + (l_c / h)(sqrt(h) z_s -
-    sum_c sqrt(l_c) xi_c), l_c their lengths and xi_c normals from the
-    seed's child (BRIDGE_KEY, 0) in cell order: a Brownian motion minus its
-    chord plus the chord to the total.  They are independent N(0, l_c I)
-    and sum to the total to rounding."""
+    sum_c sqrt(l_c) xi_c), l_c their lengths and xi_c normals, in cell
+    order, from the ``normal_stream`` of the seed's child (BRIDGE_KEY, 0):
+    a Brownian motion minus its chord plus the chord to the total.  They
+    are independent N(0, l_c I) and sum to the total to rounding."""
     lens = np.diff(grid)
     cell_step = np.searchsorted(uniform, grid[:-1], "right") - 1
     w = z[cell_step] * np.sqrt(lens)[:, None]
     split = np.flatnonzero(np.bincount(cell_step)[cell_step] > 1)
     if split.size:
-        rng = np.random.default_rng(_engine.child_seeds(seed, 1, (_engine.BRIDGE_KEY,))[0])
+        rng = _engine.normal_stream(_engine.child_seeds(seed, 1, (_engine.BRIDGE_KEY,))[0])
         free = rng.standard_normal((split.size, z.shape[1])) * np.sqrt(lens[split])[:, None]
         steps, first, k = np.unique(cell_step[split], return_index=True, return_inverse=True)
         h = np.diff(uniform)[steps]

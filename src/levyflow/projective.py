@@ -36,7 +36,7 @@ def canonical_unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     u = unit_vectors(v.reshape(len(v), -1), axis=0)[0]
     big = np.abs(u) > _SIGN_TOL
-    lead = np.take_along_axis(u, np.argmax(big, axis=0)[None], axis=0)[0]
+    lead = u[np.argmax(big, axis=0), np.arange(u.shape[1])]
     return np.where(lead < 0, -u, u).reshape(v.shape)
 
 

@@ -186,6 +186,16 @@ class TestRunScenario:
                         1234567890123456.25, -0.5 ** 1074])
         assert not _csvfmt._digits(odd)[0].any()
 
+    def test_kernel_certifies_the_doubles_nearest_powers_of_ten(self):
+        """The double nearest 10^k, k = -200..200, whose log10 can round up
+        to k from below, is certified by the kernel (a second pass at k - 1)
+        and written as '%.17g' writes it."""
+        x = np.array([float(f"1e{k}") for k in range(-200, 201)])
+        assert _csvfmt._digits(x)[0].all()
+        rows = np.column_stack([x, -x])
+        expected = "".join(f"{'%.17g' % a},{'%.17g' % b}\n" for a, b in rows.tolist())
+        assert _csvfmt.format_rows(rows) == expected.encode()
+
 
 class TestConfigErrors:
     def test_missing_seed_is_named(self, tmp_path):

@@ -155,6 +155,28 @@ def test_unit_vectors_rescales_only_where_the_sum_fails():
     np.testing.assert_array_equal(unit_vectors([5e-324, 0.0])[0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("shape, axis", [((7, 3), -1), ((7, 3), 0), ((2, 7, 3), 1),
+                                         ((7, 2), 1), ((7, 2), 0)],
+                         ids=["rows", "columns", "middle_axis", "rows_axis_1", "columns_2d"])
+def test_unit_vectors_batch_is_each_vector_alone(shape, axis):
+    """A batch along any axis, with or without the axis moved, gives bit
+    for bit what each of its vectors gives alone as a 1-D vector, scaled
+    vectors too; so does ``canonical_unit`` on the columns of a (d, n)
+    array.  ``shape`` is the batch's with the vector axis last."""
+    rng = np.random.default_rng(9)
+    vectors = rng.standard_normal((math.prod(shape[:-1]), shape[-1]))
+    vectors = np.ldexp(vectors, rng.choice([0, 0, 600, -600, -1070], len(vectors))[:, None])
+    batch = np.moveaxis(vectors.reshape(shape), -1, axis)
+    units, logs = unit_vectors(batch, axis=axis)
+    alone = [unit_vectors(v) for v in vectors]
+    assert np.moveaxis(units, axis, -1).reshape(vectors.shape).tobytes() == \
+        np.array([u for u, _ in alone]).tobytes()
+    assert logs.reshape(-1).tobytes() == np.array([g for _, g in alone]).tobytes()
+    if axis == 0 and batch.ndim == 2:
+        assert canonical_unit(batch).T.tobytes() == \
+            np.array([canonical_unit(v) for v in vectors]).tobytes()
+
+
 def test_start_row_beyond_the_float_range():
     """A start row whose norm exceeds the largest double runs: its log-norms
     are those of the row scaled into range, plus the log of the scale."""

@@ -463,7 +463,7 @@ class TestRowProducts:
         drift, a = expm(dt * triplet.drift()), psd_factor(c) * np.sqrt(dt)
         jumps = _engine._StepScheme(triplet, dt)
         planned = jumps.planned_jumps(17, n, len(times) - 1) if jumps.jump_rate else None
-        rng = np.random.default_rng(17)
+        rng = _engine.normal_stream(17)
         y = np.tile(y0 / np.linalg.norm(y0), (n, 1))
         log = np.full(n, np.log(np.linalg.norm(y0)))
         for k in range(1, len(times)):

@@ -553,6 +553,26 @@ class TestEngineStreams:
         got = lf.exact_cpp_exponential(path, ROT).X[-1]
         assert _rel_err(got, _engine_state(ROT, 5.0, 0.1, 0)) <= 1e-12
 
+    def test_pure_jump_runs_draw_no_normal(self, monkeypatch):
+        """For sigma = 0 neither kernel draws from the normal stream: with a
+        stream that refuses every draw, the engine's rows and matrices and the
+        exact walker's product keep their bytes."""
+        class NoDraw:
+            def __getattr__(self, name):
+                raise AssertionError(f"a pure-jump run asked the normal stream for {name}")
+
+        times = [0.0, 2.5, 5.0]
+
+        def runs():
+            return [*_engine.evolve_matrices(ROT, 5.0, 40, 3, times, 0.1),
+                    *_engine.evolve_vectors(ROT, np.eye(2), 5.0, 40, 3, times, 0.1),
+                    lf.exact_cpp_exponential(lf.sample_levy_path(ROT, 5.0, 0.1, 3), ROT).X]
+
+        want = runs()
+        monkeypatch.setattr(_engine, "normal_stream", lambda seed: NoDraw())
+        for a, b in zip(runs(), want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
     def test_split_steps_sum_to_the_engine_step(self):
         """The cells of each step sum, to rounding, to h gamma^0 + sqrt(h) G z
         with z the step's block of the engine's normal stream."""
@@ -564,7 +584,7 @@ class TestEngineStreams:
             uniform, cell_step, split = _cells_by_step(path, T, dt)
             split_steps += len(np.unique(cell_step[split]))
             h = np.diff(uniform)
-            z = np.random.default_rng(seed).standard_normal((len(h), d * d))
+            z = _engine.normal_stream(seed).standard_normal((len(h), d * d))
             want = h[:, None, None] * _BRIDGED.drift() + (
                 np.sqrt(h)[:, None] * z @ g.T).reshape(-1, d, d)
             got = np.zeros_like(want)
@@ -639,6 +659,7 @@ def test_runs_refuse_their_step_before_any_draw(run, monkeypatch):
         raise AssertionError("a generator was made")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(_engine, "normal_stream", no_draw)
     with pytest.raises(lf.InvalidStep, match="need T > 0"):
         run()
     assert lf.InvalidStep is _linalg.InvalidStep is lf.path_sampler.InvalidStep

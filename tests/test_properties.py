@@ -228,7 +228,7 @@ def _reference_products(triplet, t, n_steps, n_paths, seed, starts=None):
     assert scheme.row_noise == (single and d >= 2 and triplet.has_gaussian_part()
                                 and _row_isotropic(triplet.sigma, d))
     drift = expm(dt * triplet.drift())
-    rng = np.random.default_rng(seed)
+    rng = _engine.normal_stream(seed)
     planned = scheme.planned_jumps(seed, n_paths, n_steps) if scheme.jump_rate else None
     x = [np.eye(d) if starts is None else np.array(starts, dtype=float)
          for _ in range(n_paths)]
@@ -344,7 +344,7 @@ def test_short_draw_has_the_law_of_the_full_draw(case):
     short = _engine._StepScheme(triplet, dt, single_row=True)
     full = _engine._StepScheme(triplet, dt)
     assert short.row_noise and not full.row_noise
-    rng = np.random.default_rng(seed)
+    rng = _engine.normal_stream(seed)
     w = y @ short.drift_factor
     short_rows = w + np.linalg.norm(w) * short.cont_factors(
         rng.standard_normal(short.noise_shape(n)), n).T
